@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"unicode/utf8"
 
 	"dvsync/internal/simtime"
 )
@@ -106,13 +107,25 @@ func digestOf(cfgDigest string, atNs int64, meta, state []byte) string {
 }
 
 // Encode seals state (and optional meta) taken at the given instant under
-// the given config digest, and writes the envelope to w.
+// the given config digest, and writes the envelope to w. Both payloads are
+// digested in canonical form — compact and HTML-escaped, which is how the
+// envelope's JSON encoding writes a raw payload — so Decode reads back
+// exactly the bytes that were digested. json.Marshal output is already
+// canonical and seals unchanged.
 func Encode(w io.Writer, cfgDigest string, at simtime.Time, meta, state json.RawMessage) error {
-	if !json.Valid(state) {
+	// The encoder would replace invalid UTF-8 in the header string, and
+	// the digest would no longer match it.
+	if !utf8.ValidString(cfgDigest) {
+		return fmt.Errorf("checkpoint: config digest is not valid UTF-8")
+	}
+	state, err := canonical(state)
+	if err != nil {
 		return fmt.Errorf("checkpoint: state payload is not valid JSON")
 	}
-	if len(meta) > 0 && !json.Valid(meta) {
-		return fmt.Errorf("checkpoint: meta payload is not valid JSON")
+	if len(meta) > 0 {
+		if meta, err = canonical(meta); err != nil {
+			return fmt.Errorf("checkpoint: meta payload is not valid JSON")
+		}
 	}
 	env := Envelope{
 		Magic:        Magic,
@@ -125,6 +138,17 @@ func Encode(w io.Writer, cfgDigest string, at simtime.Time, meta, state json.Raw
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&env)
+}
+
+// canonical validates a JSON payload and returns it compacted and
+// HTML-escaped.
+func canonical(p []byte) ([]byte, error) {
+	var compact, escaped bytes.Buffer
+	if err := json.Compact(&compact, p); err != nil {
+		return nil, err
+	}
+	json.HTMLEscape(&escaped, compact.Bytes())
+	return escaped.Bytes(), nil
 }
 
 // Decode reads and verifies one envelope: magic, version, size cap, and

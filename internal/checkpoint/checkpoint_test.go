@@ -2,10 +2,12 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -143,6 +145,54 @@ func TestEncodeRejectsInvalidPayloads(t *testing.T) {
 	}
 	if err := Encode(&buf, "d", 0, []byte("not json"), []byte(`{}`)); err == nil {
 		t.Error("invalid meta accepted")
+	}
+	if err := Encode(&buf, "d\xff", 0, nil, []byte(`{}`)); err == nil {
+		t.Error("config digest with invalid UTF-8 accepted")
+	}
+}
+
+// TestEncodeCanonicalisesPayloads: valid JSON that is not in the form the
+// envelope encoder writes — indented, padded, or carrying a raw <, > or &
+// in a string, which the encoder HTML-escapes — must still seal into an
+// envelope that Decode accepts, with the payload meaning unchanged. A
+// payload already in canonical form (json.Marshal output) must seal
+// byte-for-byte as given, so existing digests do not move.
+func TestEncodeCanonicalisesPayloads(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		meta, state string
+		canonical   bool
+	}{
+		{name: "html-in-string", state: `{"a":"<b>"}`},
+		{name: "ampersand-in-meta", meta: `{"scenario":"a&b"}`, state: `{}`},
+		{name: "indented", state: "{\n  \"a\": [\n    1,\n    2\n  ]\n}"},
+		{name: "padded", meta: ` {"k":"v"} `, state: "\t[1, 2]\n"},
+		{name: "line-separator", state: "{\"a\":\"x\u2028y\"}"},
+		{name: "canonical", meta: `{"k":"v"}`, state: `{"a":[1,2],"b":"\u003cb\u003e"}`, canonical: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := Encode(&buf, "cfg", 7, []byte(tc.meta), []byte(tc.state)); err != nil {
+				t.Fatal(err)
+			}
+			env, err := Decode(&buf)
+			if err != nil {
+				t.Fatalf("Decode rejected what Encode sealed: %v", err)
+			}
+			var want, got any
+			if err := json.Unmarshal([]byte(tc.state), &want); err != nil {
+				t.Fatal(err)
+			}
+			if err := env.DecodeState(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("state = %v, want %v", got, want)
+			}
+			if tc.canonical && (string(env.State) != tc.state || string(env.Meta) != tc.meta) {
+				t.Errorf("canonical payloads resealed as meta %s state %s", env.Meta, env.State)
+			}
+		})
 	}
 }
 

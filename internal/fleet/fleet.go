@@ -53,12 +53,22 @@ type cellOutcome struct {
 	latency   *telemetry.Histogram // per-frame latency, LatencyBucketsMs
 
 	// anomalous marks cells that met the anomaly predicate and were
-	// re-run once under the flight recorder. dumpIDs/dumps carry the
-	// resulting envelope-sealed anomaly dumps, keyed by the cell's plain
-	// config digest — cache hits reuse them without re-running anything.
+	// re-run once under the flight recorder. dumpIDs names the dumps that
+	// re-run triggered, keyed by the cell's plain config digest — cache
+	// hits reuse them without re-running anything. The dumps themselves
+	// are not kept: src and digest are enough for AnomalyDump to replay
+	// the cell and seal any of them on demand.
 	anomalous bool
 	dumpIDs   []string
-	dumps     [][]byte
+	src       cell
+	digest    string
+}
+
+// dumpRef locates one indexed anomaly dump: the outcome of the cell that
+// triggered it and the dump's index within that cell's flight re-run.
+type dumpRef struct {
+	out   *cellOutcome
+	index int
 }
 
 // Engine runs censuses and owns the fleet-wide result cache. One engine
@@ -70,13 +80,13 @@ type Engine struct {
 	cache map[string]*cellOutcome // sim.ConfigDigest → outcome
 	order []string                // FIFO eviction order, compacted on evict
 
-	dumps     map[string][]byte // anomaly dump id → sealed envelope bytes
-	dumpOrder []string          // FIFO eviction order of the dump index
+	dumps     map[string]dumpRef // anomaly dump id → producing cell
+	dumpOrder []string           // FIFO eviction order of the dump index
 }
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
-	return &Engine{cache: map[string]*cellOutcome{}, dumps: map[string][]byte{}}
+	return &Engine{cache: map[string]*cellOutcome{}, dumps: map[string]dumpRef{}}
 }
 
 // AnomalyIDs lists every indexed anomaly-dump id in registration order
@@ -88,12 +98,39 @@ func (e *Engine) AnomalyIDs() []string {
 	return append([]string(nil), e.dumpOrder...)
 }
 
-// AnomalyDump returns the sealed envelope bytes of one anomaly dump.
+// AnomalyDump returns the sealed envelope bytes of one indexed anomaly
+// dump. The census keeps only dump ids, so the dump is rebuilt here: the
+// producing cell is replayed under a fresh flight recorder — a pure
+// function of the cell config, hence the same bytes on every fetch. Only
+// the index lookup takes the engine lock; the replay runs outside it, so
+// fetches neither serialise on each other nor hold up a census.
 func (e *Engine) AnomalyDump(id string) ([]byte, bool) {
+	ref, ok := e.dumpRef(id)
+	if !ok {
+		return nil, false
+	}
+	out := ref.out
+	dumps := flightRun(out.src.config())
+	if ref.index >= len(dumps) {
+		return nil, false
+	}
+	d := &dumps[ref.index]
+	if flight.DumpID(out.digest, ref.index, d.Trigger.Kind) != id {
+		return nil, false
+	}
+	var buf bytes.Buffer
+	if err := flight.EncodeDump(&buf, out.digest, d); err != nil {
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
+// dumpRef looks one dump id up in the index.
+func (e *Engine) dumpRef(id string) (dumpRef, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	b, ok := e.dumps[id]
-	return b, ok
+	ref, ok := e.dumps[id]
+	return ref, ok
 }
 
 // indexDumps publishes one outcome's dumps, FIFO-evicting past the
@@ -109,7 +146,7 @@ func (e *Engine) indexDumps(out *cellOutcome) {
 			copy(e.dumpOrder, e.dumpOrder[1:])
 			e.dumpOrder = e.dumpOrder[:len(e.dumpOrder)-1]
 		}
-		e.dumps[id] = out.dumps[i]
+		e.dumps[id] = dumpRef{out: out, index: i}
 		e.dumpOrder = append(e.dumpOrder, id)
 	}
 }
@@ -175,9 +212,11 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// plan is one cell scheduled within a census: its config, cache digest,
-// runner-shape key, and (after classification/simulation) its outcome.
+// plan is one cell scheduled within a census: its generator inputs,
+// config, cache digest, runner-shape key, and (after classification/
+// simulation) its outcome.
 type plan struct {
+	cell   cell
 	cfg    sim.Config
 	digest string
 	shape  string
@@ -190,11 +229,12 @@ type plan struct {
 // — the /fleet SSE stream taps it. The returned Result is complete and
 // detached.
 //
-// Cohorts are sharded one at a time over par.MapLocal with a pooled
-// Runner per worker; classification against the cache and the merge of
-// shard results both run serially in cell-expansion order, which is what
-// makes the output byte-identical at every -workers width and the hit
-// counters exact.
+// Cohorts run one at a time. Each cell's trace and config digest are
+// computed over par.Map, and the uncached cells are sharded over
+// par.MapLocal with a pooled Runner per worker; classification against
+// the cache and the merge of shard results both run serially in
+// cell-expansion order, which is what makes the output byte-identical at
+// every -workers width and the hit counters exact.
 func (e *Engine) Census(spec Spec, onCohort func(*CohortResult)) (*Result, error) {
 	cohorts, err := spec.resolve()
 	if err != nil {
@@ -219,15 +259,20 @@ func (e *Engine) Census(spec Spec, onCohort func(*CohortResult)) (*Result, error
 	return res, nil
 }
 
-// censusCohort runs one cohort batch: classify → shard → merge.
+// censusCohort runs one cohort batch: digest → classify → shard → merge.
 func (e *Engine) censusCohort(rc resolvedCohort, seen map[string]bool) *CohortResult {
-	plans := make([]plan, len(rc.cells))
+	// Generating a trace and digesting its config are pure per cell, so
+	// they fan out; only classification, which reads and counts against
+	// the shared cache, stays serial.
+	plans := par.Map(len(rc.cells), func(i int) plan {
+		c := rc.cells[i]
+		cfg := c.config()
+		return plan{cell: c, cfg: cfg, digest: sim.ConfigDigest(cfg), shape: c.shape()}
+	})
 	var need []int              // plan indices to simulate, in expansion order
 	pending := map[string]int{} // digest → index into need, for intra-batch duplicates
 	hits := 0
-	for i, c := range rc.cells {
-		cfg := c.config()
-		plans[i] = plan{cfg: cfg, digest: sim.ConfigDigest(cfg), shape: c.shape()}
+	for i := range plans {
 		d := plans[i].digest
 		seen[d] = true
 		if out, ok := e.cache[d]; ok {
@@ -310,29 +355,24 @@ func (wk *worker) run(p plan) *cellOutcome {
 	}
 	if !out.completed || out.fallbacks > 0 || out.janks >= AnomalyJankThreshold {
 		out.anomalous = true
-		flightRerun(p, out)
+		out.src, out.digest = p.cell, p.digest
+		for i, d := range flightRun(p.cfg) {
+			out.dumpIDs = append(out.dumpIDs, flight.DumpID(p.digest, i, d.Trigger.Kind))
+		}
 	}
 	return out
 }
 
-// flightRerun replays one anomalous cell fresh with the flight recorder
-// attached and seals whatever it triggered into envelope dumps keyed by
-// the cell's plain config digest. The replay is a pure function of the
-// cell config, so dumps are byte-identical no matter which worker (or
-// which census) produced them.
-func flightRerun(p plan, out *cellOutcome) {
-	cfg := p.cfg
+// flightRun replays one cell fresh with the flight recorder attached and
+// returns the dumps it triggered. The replay is a pure function of the
+// cell config, so the census re-run that names the dumps and every later
+// AnomalyDump that seals one see the same dumps, no matter which worker
+// (or which census) ran the cell.
+func flightRun(cfg sim.Config) []flight.Dump {
 	ring := flight.New(flight.Config{})
 	cfg.Recorder = ring
 	sim.Run(cfg)
-	for i, d := range ring.Dumps() {
-		var buf bytes.Buffer
-		if err := flight.EncodeDump(&buf, p.digest, &d); err != nil {
-			continue
-		}
-		out.dumpIDs = append(out.dumpIDs, flight.DumpID(p.digest, i, d.Trigger.Kind))
-		out.dumps = append(out.dumps, buf.Bytes())
-	}
+	return ring.Dumps()
 }
 
 // aggregate folds the cohort's outcomes — in expansion order, so float

@@ -111,16 +111,21 @@ var calibCache atomic.Pointer[calibMap]
 // hook asserting the memoisation contract.
 var calibSearches atomic.Int64
 
+// calibSims counts the replica simulations calibration searches ran — the
+// deterministic work counter for the search itself.
+var calibSims atomic.Int64
+
 func init() {
 	m := calibMap{}
 	calibCache.Store(&m)
 }
 
-// resetCalibCache empties the cache and search counter (tests only).
+// resetCalibCache empties the cache and zeroes its counters (tests only).
 func resetCalibCache() {
 	m := calibMap{}
 	calibCache.Store(&m)
 	calibSearches.Store(0)
+	calibSims.Store(0)
 }
 
 func calibKey(p workload.Profile, frames int, dev scenarios.Device, buffers int,
@@ -168,28 +173,47 @@ func calibrateParamsUncached(p workload.Profile, frames int, dev scenarios.Devic
 	calibSearches.Add(1)
 	const maxRatio = 0.30
 	// The search matches the *replica mean* — the quantity the experiments
-	// report — so the five-run averages land on the measured baselines. The
-	// replicas fan out through par.Map; summing the returned slice in index
-	// order keeps the mean bit-identical to the serial loop.
+	// report — so the five-run averages land on the measured baselines.
+	// Each replica keeps the FDPS of every trace it has simulated in this
+	// search, with the span of ratios that regenerate that trace: after a
+	// dozen halvings the ratio moves less than the gap between two of a
+	// replica's key-frame decisions, so most replicas already know their
+	// result. Only the others are generated and fan out through
+	// par.MapLocal; summing every replica in index order keeps the mean
+	// bit-identical to simulating all of them.
+	seen := make([][]spanFDPS, Replicas)
+	vals := make([]float64, Replicas)
+	var miss []int
 	measureRatio := func(ratio float64) float64 {
 		q := p
 		q.LongRatio = ratio
-		vals := par.MapLocal(Replicas,
-			func() *sim.Runner { return runnerFor(VSyncConfig(dev, buffers)) },
-			func(rn *sim.Runner, i int) float64 {
-				return rn.RunTrace(q.Generate(frames, seed+int64(i))).FDPS()
-			})
-		var sum float64
-		for _, v := range vals {
-			sum += v
+		miss = miss[:0]
+		for i := range vals {
+			if v, ok := lookupSpan(seen[i], ratio); ok {
+				vals[i] = v
+			} else {
+				miss = append(miss, i)
+			}
 		}
-		return sum / Replicas
+		fresh := par.MapLocal(len(miss),
+			func() *sim.Runner { return runnerFor(VSyncConfig(dev, buffers)) },
+			func(rn *sim.Runner, j int) spanFDPS {
+				tr, span := q.GenerateSpan(frames, seed+int64(miss[j]))
+				return spanFDPS{span: span, fdps: rn.RunTrace(tr).FDPS()}
+			})
+		calibSims.Add(int64(len(miss)))
+		for j, i := range miss {
+			seen[i] = append(seen[i], fresh[j])
+			vals[i] = fresh[j].fdps
+		}
+		return replicaMean(vals)
 	}
 	if measureRatio(maxRatio) >= target {
 		ratio := bisect(measureRatio, target, 0.002, maxRatio)
 		return calibration{ratio: ratio, scale: 1}
 	}
-	// Rate ceiling insufficient: scale costs on top.
+	// Rate ceiling insufficient: scale costs on top. Every step scales
+	// every trace, so each replica is simulated at each step.
 	q := p
 	q.LongRatio = maxRatio
 	bases := make([]*workload.Trace, Replicas)
@@ -202,14 +226,39 @@ func calibrateParamsUncached(p workload.Profile, frames int, dev scenarios.Devic
 			func(rn *sim.Runner, i int) float64 {
 				return rn.RunTrace(bases[i].Scale(s)).FDPS()
 			})
-		var sum float64
-		for _, v := range vals {
-			sum += v
-		}
-		return sum / Replicas
+		calibSims.Add(int64(len(bases)))
+		return replicaMean(vals)
 	}
 	scale := bisect(measureScale, target, 1.0, 6.0)
 	return calibration{ratio: maxRatio, scale: scale}
+}
+
+// spanFDPS is one simulated replica trace during a calibration search: its
+// VSync FDPS and the ratios that regenerate it.
+type spanFDPS struct {
+	span workload.RatioSpan
+	fdps float64
+}
+
+// lookupSpan returns the FDPS of the remembered trace that ratio
+// regenerates, if any.
+func lookupSpan(seen []spanFDPS, ratio float64) (float64, bool) {
+	for _, s := range seen {
+		if s.span.Contains(ratio) {
+			return s.fdps, true
+		}
+	}
+	return 0, false
+}
+
+// replicaMean is the mean of the replica FDPS values, summed in index
+// order.
+func replicaMean(vals []float64) float64 {
+	var sum float64
+	for _, v := range vals {
+		sum += v
+	}
+	return sum / Replicas
 }
 
 func (c calibration) trace(p workload.Profile, frames int, seed int64) *workload.Trace {

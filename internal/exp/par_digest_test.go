@@ -87,9 +87,19 @@ func TestCalibrationMemoised(t *testing.T) {
 	if got := calibSearches.Load(); got != 1 {
 		t.Fatalf("first lookup ran %d searches, want 1", got)
 	}
+	// The search's work is deterministic, so it is pinned exactly, like
+	// allocs/op: 27 evaluations × 5 replicas would be 135 simulations, but
+	// replicas whose trace a halving leaves unchanged reuse their FDPS.
+	const searchSims = 39
+	if got := calibSims.Load(); got != searchSims {
+		t.Errorf("search ran %d simulations, pinned %d", got, searchSims)
+	}
 	cached := calibrateParams(p, 300, dev, dev.Buffers, 2.0, Seed)
 	if got := calibSearches.Load(); got != 1 {
 		t.Errorf("second lookup ran the search again (%d searches total), want cache hit", got)
+	}
+	if got := calibSims.Load(); got != searchSims {
+		t.Errorf("cache hit ran %d more simulations", got-searchSims)
 	}
 	if cached != fresh {
 		t.Errorf("cached calibration %+v differs from fresh %+v", cached, fresh)

@@ -203,8 +203,21 @@ func (p *Profile) TryGenerate(n int, seed int64) (*Trace, error) {
 // (profile, n, seed). Invalid profiles panic; use TryGenerate to get an
 // error value instead.
 func (p *Profile) Generate(n int, seed int64) *Trace {
+	t, _ := p.GenerateSpan(n, seed)
+	return t
+}
+
+// GenerateSpan is Generate that also reports the span of LongRatio values
+// reproducing the trace, so a caller varying only the ratio can tell
+// which traces it already has.
+func (p *Profile) GenerateSpan(n int, seed int64) (*Trace, RatioSpan) {
 	if err := p.Validate(); err != nil {
 		panic(err)
+	}
+	span := RatioSpan{burstiness: p.Burstiness, ceiling: 0.5,
+		firstLong: -1, firstShort: 2, nextLong: -1, nextShort: 2}
+	if p.LongScaleMs <= 0 || p.LongAlpha <= 1 {
+		span.ceiling = 0
 	}
 	g := dist.New(seed).Split(p.Name)
 	short := dist.LognormalFromMoments(p.ShortMeanMs, math.Max(p.ShortSigmaMs, 1e-6))
@@ -217,19 +230,14 @@ func (p *Profile) Generate(n int, seed int64) *Trace {
 		}
 	}
 
-	// Two-state Markov chain with stationary long probability LongRatio
-	// and P(long|long) = Burstiness. Solving π_long = LongRatio gives
-	// P(long|short) = LongRatio·(1−Burstiness) / (1−LongRatio).
-	pLongAfterShort := 0.0
-	if p.LongRatio > 0 && p.LongRatio < 1 {
-		pLongAfterShort = p.LongRatio * (1 - p.Burstiness) / (1 - p.LongRatio)
-		if pLongAfterShort > 1 {
-			pLongAfterShort = 1
-		}
-	}
+	pLongAfterShort := longAfterShort(p.LongRatio, p.Burstiness)
 
 	t := &Trace{Name: p.Name, Costs: make([]Cost, n)}
-	inLong := g.Float64() < p.LongRatio
+	draw := g.Float64()
+	inLong := draw < p.LongRatio
+	if n > 0 {
+		narrow(draw, inLong, &span.firstLong, &span.firstShort)
+	}
 	for i := 0; i < n; i++ {
 		var ms float64
 		if inLong {
@@ -249,10 +257,68 @@ func (p *Profile) Generate(n int, seed int64) *Trace {
 		if inLong {
 			inLong = g.Float64() < p.Burstiness
 		} else {
-			inLong = g.Float64() < pLongAfterShort
+			draw := g.Float64()
+			inLong = draw < pLongAfterShort
+			// The draw after the last frame decides nothing.
+			if i < n-1 {
+				narrow(draw, inLong, &span.nextLong, &span.nextShort)
+			}
 		}
 	}
-	return t
+	return t, span
+}
+
+// RatioSpan is the set of LongRatio values at which Generate, with every
+// other profile field and (n, seed) unchanged, makes the same key-frame
+// decisions and so returns the identical trace. LongRatio enters
+// generation only through those decisions: with the same decisions the
+// generator draws the same numbers and samples the same costs, so the
+// span holds just the draws that bound them.
+type RatioSpan struct {
+	burstiness float64
+	ceiling    float64 // largest LongRatio the other profile fields validate with
+	// The first frame is long iff its draw < LongRatio; a frame after a
+	// short one is long iff its draw < P(long|short). Each pair holds the
+	// largest draw that came out long and the smallest that came out short
+	// (−1 and 2 when there were none). The zero RatioSpan contains no ratio.
+	firstLong, firstShort float64
+	nextLong, nextShort   float64
+}
+
+// Contains reports whether Generate at LongRatio r returns the span's
+// trace. It evaluates the same float comparisons Generate would.
+func (s RatioSpan) Contains(r float64) bool {
+	if !(r >= 0 && r <= s.ceiling) {
+		return false
+	}
+	p := longAfterShort(r, s.burstiness)
+	return s.firstLong < r && !(s.firstShort < r) && s.nextLong < p && !(s.nextShort < p)
+}
+
+// longAfterShort is the chain's P(long|short). Two-state Markov chain with
+// stationary long probability ratio and P(long|long) = burstiness: solving
+// π_long = ratio gives P(long|short) = ratio·(1−burstiness) / (1−ratio).
+func longAfterShort(ratio, burstiness float64) float64 {
+	p := 0.0
+	if ratio > 0 && ratio < 1 {
+		p = ratio * (1 - burstiness) / (1 - ratio)
+		if p > 1 {
+			p = 1
+		}
+	}
+	return p
+}
+
+// narrow tightens one of the span's decision pairs with a draw that came
+// out long or short.
+func narrow(draw float64, long bool, maxLong, minShort *float64) {
+	if long {
+		if draw > *maxLong {
+			*maxLong = draw
+		}
+	} else if draw < *minShort {
+		*minShort = draw
+	}
 }
 
 // Concat joins traces into one (used to build composite UX tasks).

@@ -215,3 +215,13 @@ func TestGeneratedCostsBounded(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkGenerate measures one 1 000-frame trace from the default
+// profile, the unit the census and the calibration search pay per replica.
+func BenchmarkGenerate(b *testing.B) {
+	p := DefaultProfile("bench", 1000.0/60)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.Generate(1000, int64(i))
+	}
+}

@@ -50,6 +50,9 @@ func TestMetricsCellDeterminismAcrossWorkers(t *testing.T) {
 	par.SetWorkers(4)
 	wide := digestMetricsCells(t, ids)
 
+	if serial != metricsCellsPin {
+		t.Errorf("metrics-cell exports at workers=1 digest to %s, pinned %s", serial, metricsCellsPin)
+	}
 	if serial != wide {
 		t.Errorf("metrics-cell exports diverge across worker widths: workers=1 %s, workers=4 %s",
 			serial, wide)
@@ -82,3 +85,7 @@ func TestMetricsCellsShape(t *testing.T) {
 		}
 	}
 }
+
+// metricsCellsPin is digestMetricsCells over fig7 and fig14, pinned so a
+// change that alters every width's exports alike still fails.
+const metricsCellsPin = "4f5f1a6aeb562f36"

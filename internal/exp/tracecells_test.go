@@ -46,6 +46,9 @@ func TestTraceCellDeterminismAcrossWorkers(t *testing.T) {
 	par.SetWorkers(4)
 	wide := digestCells(t, ids)
 
+	if serial != traceCellsPin {
+		t.Errorf("trace-cell exports at workers=1 digest to %s, pinned %s", serial, traceCellsPin)
+	}
 	if serial != wide {
 		t.Errorf("trace-cell exports diverge across worker widths: workers=1 %s, workers=4 %s",
 			serial, wide)
@@ -80,3 +83,7 @@ func TestTraceCellsShape(t *testing.T) {
 		}
 	}
 }
+
+// traceCellsPin is digestCells over fig7 and fig14, pinned so a change
+// that alters every width's exports alike still fails.
+const traceCellsPin = "7c942dcf40c7398d"

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"dvsync/internal/flight"
 	"dvsync/internal/par"
@@ -203,9 +205,9 @@ func TestAnomalyDumpFetchDuringCensus(t *testing.T) {
 	}
 	pinned := eng.AnomalyIDs()
 	const rounds = 3
-	// Sized to every send, so no announcement ever blocks: the census
-	// announces while holding the engine lock that fetchers wait on. Each
-	// round sends the pinned ids plus at most MaxDumps per cohort cell.
+	// Sized to every send, so no announcement ever blocks the census
+	// that makes it. Each round sends the pinned ids plus at most
+	// MaxDumps per cohort cell.
 	spec := anomalySpec()
 	announced := make(chan string, rounds*(len(pinned)+len(spec.Cohorts)*flight.DefaultMaxDumps))
 
@@ -268,5 +270,50 @@ func TestAnomalyDumpFetchDuringCensus(t *testing.T) {
 		if again, ok := eng.AnomalyDump(id); !ok || !bytes.Equal(again, data) {
 			t.Errorf("dump %q: a serial fetch disagrees with the concurrent ones", id)
 		}
+	}
+}
+
+// TestAnomalyLookupDuringCensus: the dump index has its own lock, so ids a
+// census announces through onCohort resolve while that census is still
+// running — the "fetch GET /anomalies/{id} mid-census" promise of
+// dvserve's /fleet stream. Each lookup runs on its own goroutine while
+// onCohort holds the census up; a lookup behind the census lock could never
+// return, so the test gives up after 10 s instead of hanging.
+func TestAnomalyLookupDuringCensus(t *testing.T) {
+	eng := NewEngine()
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s is still waiting on the running census", what)
+		}
+	}
+	announced := 0
+	_, err := eng.Census(anomalySpec(), func(c *CohortResult) {
+		for _, id := range c.AnomalyDumps {
+			announced++
+			var ids []string
+			within("AnomalyIDs", func() { ids = eng.AnomalyIDs() })
+			if !slices.Contains(ids, id) {
+				t.Errorf("announced dump %q missing from AnomalyIDs mid-census", id)
+			}
+			var ok bool
+			within("AnomalyDump("+id+")", func() { _, ok = eng.AnomalyDump(id) })
+			if !ok {
+				t.Errorf("announced dump %q is not retrievable mid-census", id)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if announced == 0 {
+		t.Fatal("the census announced no dumps")
 	}
 }

@@ -74,12 +74,15 @@ type dumpRef struct {
 // Engine runs censuses and owns the fleet-wide result cache. One engine
 // serialises its censuses under a mutex — the cache classification that
 // makes hit counts deterministic requires it — so dvserve shares a
-// single engine across requests for cross-request memoisation.
+// single engine across requests for cross-request memoisation. The
+// anomaly-dump index has its own lock, so dump lookups never wait for a
+// running census.
 type Engine struct {
 	mu    sync.Mutex
 	cache map[string]*cellOutcome // sim.ConfigDigest → outcome
 	order []string                // FIFO eviction order, compacted on evict
 
+	dumpMu    sync.Mutex
 	dumps     map[string]dumpRef // anomaly dump id → producing cell
 	dumpOrder []string           // FIFO eviction order of the dump index
 }
@@ -93,8 +96,8 @@ func NewEngine() *Engine {
 // (census expansion order — deterministic across repeats and -workers
 // widths).
 func (e *Engine) AnomalyIDs() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.dumpMu.Lock()
+	defer e.dumpMu.Unlock()
 	return append([]string(nil), e.dumpOrder...)
 }
 
@@ -102,8 +105,8 @@ func (e *Engine) AnomalyIDs() []string {
 // dump. The census keeps only dump ids, so the dump is rebuilt here: the
 // producing cell is replayed under a fresh flight recorder — a pure
 // function of the cell config, hence the same bytes on every fetch. Only
-// the index lookup takes the engine lock; the replay runs outside it, so
-// fetches neither serialise on each other nor hold up a census.
+// the index lookup takes the index lock; the replay runs outside it, so
+// fetches neither serialise on each other nor wait for a census.
 func (e *Engine) AnomalyDump(id string) ([]byte, bool) {
 	ref, ok := e.dumpRef(id)
 	if !ok {
@@ -127,16 +130,18 @@ func (e *Engine) AnomalyDump(id string) ([]byte, bool) {
 
 // dumpRef looks one dump id up in the index.
 func (e *Engine) dumpRef(id string) (dumpRef, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.dumpMu.Lock()
+	defer e.dumpMu.Unlock()
 	ref, ok := e.dumps[id]
 	return ref, ok
 }
 
 // indexDumps publishes one outcome's dumps, FIFO-evicting past the
 // bound. Re-registration (cache hits, warm repeats) is a no-op, so ids
-// stay in first-seen order. Caller holds e.mu.
+// stay in first-seen order. The census calls it in expansion order.
 func (e *Engine) indexDumps(out *cellOutcome) {
+	e.dumpMu.Lock()
+	defer e.dumpMu.Unlock()
 	for i, id := range out.dumpIDs {
 		if _, ok := e.dumps[id]; ok {
 			continue

@@ -28,17 +28,17 @@ import (
 // so there is nothing left to resume.
 var ErrRunFinished = errors.New("sim: run already finished")
 
-// PresentState is one scheduled present fence awaiting dispatch at
-// snapshot time.
+// PresentState is one latched frame whose FramePresent event has not been
+// recorded yet: a present fence, held as plain driver state.
 type PresentState struct {
-	At        simtime.Time         `json:"at"`
-	Frame     int                  `json:"frame"`
-	Decoupled bool                 `json:"decoupled,omitempty"`
-	Sched     event.ScheduledEvent `json:"sched"`
+	At        simtime.Time `json:"at"`
+	Frame     int          `json:"frame"`
+	Decoupled bool         `json:"decoupled,omitempty"`
 }
 
 // DriverState is the simulation driver's serialisable state: the trace
-// cursor, the §4.5 switch positions, and the pending present fences.
+// cursor, the §4.5 switch positions, and the present fences not yet
+// recorded.
 type DriverState struct {
 	NextIdx        int            `json:"next_idx"`
 	Started        bool           `json:"started,omitempty"`
@@ -49,13 +49,11 @@ type DriverState struct {
 }
 
 // TelemetryState is the live-metrics layer's serialisable state: the
-// registry contents, the trailing FDPS window, and the armed sampling
-// tick.
+// registry contents and the trailing FDPS window. The next sampling
+// boundary follows from the registry's last row.
 type TelemetryState struct {
 	Registry telemetry.RegistryState `json:"registry"`
 	Window   []simtime.Time          `json:"window,omitempty"`
-	Done     bool                    `json:"done,omitempty"`
-	Tick     *event.ScheduledEvent   `json:"tick,omitempty"`
 }
 
 // AccumState is the run-so-far result accumulation: everything Run gathers
@@ -212,7 +210,7 @@ func (s *System) Snapshot(at simtime.Time) (*State, error) {
 	if at < s.engine.Now() {
 		return nil, fmt.Errorf("sim: snapshot at %v is in the past of %v", at, s.engine.Now())
 	}
-	s.engine.Run(at)
+	s.runTo(at)
 	if err := s.engine.Err(); err != nil {
 		return nil, fmt.Errorf("sim: snapshot: %w", err)
 	}
@@ -241,10 +239,10 @@ func (s *System) RunCheckpointed(every simtime.Duration, fn func(*State) error) 
 	for {
 		next := s.engine.Now().Add(every)
 		if next >= end {
-			s.engine.Run(end)
+			s.runTo(end)
 			break
 		}
-		s.engine.Run(next)
+		s.runTo(next)
 		if s.engine.Err() != nil || s.engine.Stopped() {
 			break
 		}
@@ -302,15 +300,7 @@ func (s *System) captureState() (*State, error) {
 		st.Health = &v
 	}
 	if s.tel != nil {
-		tc := &TelemetryState{Registry: s.tel.reg.State(), Window: s.tel.window.State(), Done: s.tel.done}
-		if !s.tel.done {
-			sched, ok := s.engine.Lookup(s.tel.tickID)
-			if !ok {
-				return nil, fmt.Errorf("sim: snapshot: armed telemetry tick has no scheduled event")
-			}
-			tc.Tick = &sched
-		}
-		st.Telemetry = tc
+		st.Telemetry = &TelemetryState{Registry: s.tel.reg.State(), Window: s.tel.window.State()}
 	}
 	if s.cfg.Recorder != nil {
 		if r, ok := s.cfg.Recorder.(*flight.Ring); ok {
@@ -319,23 +309,14 @@ func (s *System) captureState() (*State, error) {
 			st.Trace = append([]trace.Event(nil), s.cfg.Recorder.Events()...)
 		}
 	}
-	d := DriverState{
+	st.Driver = DriverState{
 		NextIdx:        s.nextIdx,
 		Started:        s.started,
 		Ticks:          s.ticks,
 		AppSwitch:      s.appSwitch,
 		FallbackActive: s.fallbackActive,
+		PresentPending: append([]PresentState(nil), s.presentPending...),
 	}
-	for _, e := range s.presentPending {
-		sched, ok := s.engine.Lookup(e.id)
-		if !ok {
-			return nil, fmt.Errorf("sim: snapshot: present fence of frame %d has no scheduled event", e.frame)
-		}
-		d.PresentPending = append(d.PresentPending, PresentState{
-			At: e.at, Frame: e.frame, Decoupled: e.decoupled, Sched: sched,
-		})
-	}
-	st.Driver = d
 	a := AccumState{
 		Skipped:      s.res.Skipped,
 		FirstLatch:   s.res.FirstLatch,
@@ -358,12 +339,8 @@ func (s *System) captureState() (*State, error) {
 	}
 	st.Accum = a
 
-	captured := len(st.Producer.UIPending) + len(st.Producer.RSPending) +
-		len(st.Signal.Pending) + len(st.Driver.PresentPending)
+	captured := len(st.Producer.UIPending) + len(st.Producer.RSPending) + len(st.Signal.Pending)
 	if st.Panel.Pending != nil {
-		captured++
-	}
-	if st.Telemetry != nil && st.Telemetry.Tick != nil {
 		captured++
 	}
 	if captured != s.engine.Pending() {
@@ -483,18 +460,9 @@ func (s *System) restore(st *State) error {
 		if err := s.tel.window.Restore(tc.Window); err != nil {
 			return fmt.Errorf("sim: resume: %w", err)
 		}
-		s.tel.done = tc.Done
-		if !tc.Done {
-			if tc.Tick == nil {
-				return fmt.Errorf("sim: resume: live telemetry without an armed sampling tick")
-			}
-			if err := s.engine.RestoreEvent(*tc.Tick, s.tel.tick); err != nil {
-				return fmt.Errorf("sim: resume: %w", err)
-			}
-			s.tel.tickID = tc.Tick.ID
-		}
 	}
 	n := s.cfg.Trace.Len()
+	var lastAt simtime.Time // newest restored trace event
 	if s.cfg.Recorder != nil {
 		if r, ok := s.cfg.Recorder.(*flight.Ring); ok {
 			if st.Flight == nil {
@@ -516,7 +484,6 @@ func (s *System) restore(st *State) error {
 		// or before the newest restored event has already been emitted (for
 		// a flight ring the newest retained event is still the newest
 		// recorded one, so the rule holds there too).
-		var lastAt simtime.Time
 		if events := s.cfg.Recorder.Events(); len(events) > 0 {
 			lastAt = events[len(events)-1].At
 		}
@@ -538,13 +505,11 @@ func (s *System) restore(st *State) error {
 	s.fallbackActive = st.Driver.FallbackActive
 	s.applyEnabled()
 	for _, p := range st.Driver.PresentPending {
-		if err := s.engine.RestoreEvent(p.Sched, s.presentFn); err != nil {
-			return fmt.Errorf("sim: resume: %w", err)
+		if p.At < lastAt {
+			return fmt.Errorf("sim: resume: present fence of frame %d at %v precedes the restored trace", p.Frame, p.At)
 		}
-		s.presentPending = append(s.presentPending, presentEntry{
-			at: p.At, frame: p.Frame, decoupled: p.Decoupled, id: p.Sched.ID,
-		})
 	}
+	s.presentPending = append(s.presentPending, st.Driver.PresentPending...)
 	s.res.Presented = make([]*buffer.Frame, 0, n)
 	for _, seq := range st.Accum.PresentedSeqs {
 		f := s.producer.FrameBySeq(seq)
@@ -564,12 +529,8 @@ func (s *System) restore(st *State) error {
 	s.res.VSyncPathFrames = st.Accum.VSyncPath
 	s.res.StaleDropped = st.Accum.StaleDropped
 
-	expected := len(st.Producer.UIPending) + len(st.Producer.RSPending) +
-		len(st.Signal.Pending) + len(st.Driver.PresentPending)
+	expected := len(st.Producer.UIPending) + len(st.Producer.RSPending) + len(st.Signal.Pending)
 	if st.Panel.Pending != nil {
-		expected++
-	}
-	if st.Telemetry != nil && st.Telemetry.Tick != nil {
 		expected++
 	}
 	if got := s.engine.Pending(); got != expected {

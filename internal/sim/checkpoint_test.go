@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -184,7 +185,14 @@ func outputsDigest(cfg Config, r *Result) (string, error) {
 			return "", fmt.Errorf("telemetry prom: %w", err)
 		}
 	}
-	fmt.Fprintf(&buf, "fdps=%v janks=%+v skipped=%d presented=%v stuffed=%d direct=%d "+
+	buf.WriteString(resultLine(r))
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// resultLine renders the full result summary outputsDigest folds in.
+func resultLine(r *Result) string {
+	return fmt.Sprintf("fdps=%v janks=%+v skipped=%d presented=%v stuffed=%d direct=%d "+
 		"decoupled=%d vsyncpath=%d work=%v overhead=%v latency=%v fallbacks=%+v "+
 		"counters=%+v missed=%d allocfailed=%d reanchors=%d dtvmissed=%d backoffs=%d "+
 		"startfail=%d stale=%d completed=%v edges=%d first=%v last=%v watchdog=%q\n",
@@ -194,8 +202,6 @@ func outputsDigest(cfg Config, r *Result) (string, error) {
 		r.DTVReAnchors, r.DTVMissedEdges, r.FPEBackoffs, r.FPEStartFailures,
 		r.StaleDropped, r.Completed, r.EdgesInWindow, r.FirstLatch, r.LastLatch,
 		r.WatchdogTripped)
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:]), nil
 }
 
 // straightDigest runs a scenario uninterrupted.
@@ -528,6 +534,14 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 	if _, err := sys.Snapshot(simtime.Time(1 << 62)); err == nil {
 		t.Error("snapshot after completion should fail")
+	}
+	// A finished run with a registry has no sampling boundaries left.
+	withMetrics := mk()
+	withMetrics.Metrics = telemetry.NewRegistry()
+	sys = New(withMetrics)
+	sys.Run()
+	if _, err := sys.Snapshot(simtime.Time(1 << 62)); !errors.Is(err, ErrRunFinished) {
+		t.Errorf("snapshot after a completed run with a registry: %v, want ErrRunFinished", err)
 	}
 
 	st, err := New(mk()).Snapshot(msT(1000))

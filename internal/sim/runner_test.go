@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dvsync/internal/checkpoint"
+	"dvsync/internal/flight"
 	"dvsync/internal/ipl"
 	"dvsync/internal/par"
 	"dvsync/internal/simtime"
@@ -198,4 +199,33 @@ func TestRunnerMapLocalStress(t *testing.T) {
 		}
 	}
 	par.SetWorkers(0)
+}
+
+// eventsPerReusedRun is what one reused run of the benchmark workload
+// (internal/bench's RunnerReuse) fires on the engine. It is an exact axis
+// like the allocation budget of TestRunnerSteadyStateAllocs, and observers
+// schedule nothing, so a recorder leaves it unchanged.
+const eventsPerReusedRun = 1221
+
+// TestRunnerEventsPerRun pins the engine events of a reused run of the
+// benchmark workload, bare and with the flight recorder attached.
+func TestRunnerEventsPerRun(t *testing.T) {
+	p := workload.Profile{
+		Name: "bench", ShortMeanMs: 5, ShortSigmaMs: 2,
+		LongRatio: 0.06, LongScaleMs: 20, LongAlpha: 1.8,
+		Burstiness: 0.3, UIShare: 0.4, Class: workload.Interactive,
+	}
+	tr := p.Generate(400, 1234)
+	for _, c := range []struct {
+		name string
+		sink trace.Sink
+	}{{"bare", nil}, {"flight", flight.New(flight.Config{})}} {
+		rn := NewRunner(Config{Mode: ModeDVSync, Panel: panel60(), Buffers: 4,
+			Trace: tr, Predictor: ipl.Kalman{}, Recorder: c.sink})
+		rn.Run()
+		rn.Run()
+		if got := rn.System().Engine().Fired(); got != eventsPerReusedRun {
+			t.Errorf("%s: %d engine events per reused run, want %d", c.name, got, eventsPerReusedRun)
+		}
+	}
 }

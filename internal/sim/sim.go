@@ -301,21 +301,11 @@ type System struct {
 	// a DTVReAnchor marker the instant the counter moves.
 	lastReAnchors int
 
-	// presentPending holds latched frames whose present fence has not fired
-	// yet; presentFn is the persistent handler that replaces a per-latch
-	// closure on the recorder path. Entries are matched by fence time, not
-	// FIFO position: an LTPO retarget can make PresentAt non-monotone
-	// across consecutive latches.
-	presentPending []presentEntry
-	presentFn      event.Handler
-}
-
-// presentEntry is one scheduled present fence awaiting dispatch.
-type presentEntry struct {
-	at        simtime.Time
-	frame     int
-	decoupled bool
-	id        event.ID
+	// presentPending holds latched frames whose FramePresent event has not
+	// been recorded yet, in latch order. record() emits each one before the
+	// first event of a later instant, earliest fence first: an LTPO
+	// retarget can make PresentAt non-monotone across consecutive latches.
+	presentPending []PresentState
 }
 
 // traceMark is one precomputed schema-v3 marker event awaiting emission.
@@ -338,6 +328,8 @@ func Validate(cfg Config) error {
 		return fmt.Errorf("sim: invalid panel refresh rate %d", cfg.Panel.RefreshHz)
 	case cfg.AppOffset < 0:
 		return fmt.Errorf("sim: negative VSync-app offset %v", cfg.AppOffset)
+	case cfg.MaxSimTime < 0:
+		return fmt.Errorf("sim: negative MaxSimTime %v", cfg.MaxSimTime)
 	case cfg.PreRenderLimit < 0:
 		return fmt.Errorf("sim: negative pre-render limit %d", cfg.PreRenderLimit)
 	case cfg.VSyncPipelineDepth < 0:
@@ -378,8 +370,7 @@ func New(cfg Config) *System {
 	cfg = normalized(cfg)
 
 	s := &System{cfg: cfg, engine: event.NewEngine()}
-	s.presentPending = make([]presentEntry, 0, 8)
-	s.presentFn = s.dispatchPresent
+	s.presentPending = make([]PresentState, 0, 8)
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		s.inj = fault.NewInjector(*cfg.Faults)
 		if cfg.Recorder != nil {
@@ -469,7 +460,6 @@ func New(cfg Config) *System {
 			interval = period
 		}
 		s.tel = newTelemetryState(cfg.Metrics, interval, cfg.Panel.RefreshHz, s.monitor != nil)
-		s.tel.tick = s.onSampleTick
 		s.queue.SetDepthObserver(func(depth int) {
 			d := float64(depth)
 			s.tel.queueDepth.Set(d)
@@ -505,22 +495,57 @@ func episodeMarks(fc *fault.Config) []traceMark {
 }
 
 // record emits one trace event through the configured sink, first
-// interleaving every precomputed marker due at or before it. The caller
-// must hold cfg.Recorder != nil. After any record(ev), nextMark indexes
-// past every mark with at <= ev.At — the invariant checkpoint restore
-// rebuilds from the restored event stream.
+// interleaving every present fence due before its instant and every
+// precomputed marker due at or before it, in time order. A fence at T is
+// thus recorded after every event of instant T, and a marker at T before
+// a fence at T. The caller must hold cfg.Recorder != nil. After any
+// record(ev), nextMark indexes past every mark with at <= ev.At — the
+// invariant checkpoint restore rebuilds from the restored event stream.
 //
 //dvlint:hotpath wraps every recorded simulation event
 func (s *System) record(ev trace.Event) {
+	s.emitPresents(ev.At)
+	s.emitMarks(ev.At)
+	s.cfg.Recorder.Add(ev)
+}
+
+// emitMarks records every precomputed marker at or before upTo.
+//
+//dvlint:hotpath runs inside every record call
+func (s *System) emitMarks(upTo simtime.Time) {
 	for s.nextMark < len(s.marks) {
 		m := &s.marks[s.nextMark]
-		if m.at > ev.At {
-			break
+		if m.at > upTo {
+			return
 		}
 		s.cfg.Recorder.Add(trace.Event{At: m.at, Kind: m.kind, Frame: -1, Detail: m.detail})
 		s.nextMark++
 	}
-	s.cfg.Recorder.Add(ev)
+}
+
+// emitPresents records the FramePresent event of every pending fence
+// before the given instant, earliest first and in latch order at equal
+// instants, each preceded by the markers due at or before it.
+//
+//dvlint:hotpath runs inside every record call
+func (s *System) emitPresents(before simtime.Time) {
+	for len(s.presentPending) > 0 {
+		i := 0
+		for j := 1; j < len(s.presentPending); j++ {
+			if s.presentPending[j].At < s.presentPending[i].At {
+				i = j
+			}
+		}
+		p := s.presentPending[i]
+		if p.At >= before {
+			return
+		}
+		copy(s.presentPending[i:], s.presentPending[i+1:])
+		s.presentPending = s.presentPending[:len(s.presentPending)-1]
+		s.emitMarks(p.At)
+		s.cfg.Recorder.Add(trace.Event{At: p.At, Kind: trace.FramePresent, Frame: p.Frame,
+			Decoupled: p.Decoupled})
+	}
 }
 
 // noteReAnchors emits a DTVReAnchor marker when the DTV's re-anchor
@@ -849,8 +874,7 @@ func (s *System) onEdge(now simtime.Time, seq uint64, period simtime.Duration) {
 			s.record(trace.Event{At: now, Kind: trace.FrameLatched, Frame: f.Seq,
 				Decoupled: f.Decoupled, EdgeSeq: seq})
 			s.presentPending = append(s.presentPending,
-				presentEntry{at: f.PresentAt, frame: f.Seq, decoupled: f.Decoupled,
-					id: s.engine.At(f.PresentAt, event.PriorityControl, s.presentFn)})
+				PresentState{At: f.PresentAt, Frame: f.Seq, Decoupled: f.Decoupled})
 		}
 		if s.fpe != nil {
 			if f.Decoupled {
@@ -903,33 +927,9 @@ func (s *System) onEdge(now simtime.Time, seq uint64, period simtime.Duration) {
 	}
 
 	if s.queue.Front() != nil && s.streamDone() && s.queue.QueuedCount() == 0 {
-		if s.tel != nil {
-			s.tel.done = true
-		}
 		s.panel.Stop()
 		s.engine.Stop()
 	}
-}
-
-// dispatchPresent fires one present fence: it records the FramePresent
-// trace event for the pending frame whose fence time matches. First match
-// wins — at equal times the engine dispatches in insertion order, so a
-// forward scan reproduces the tie-break exactly.
-//
-//dvlint:hotpath runs once per presented frame when a recorder is attached
-func (s *System) dispatchPresent(t simtime.Time) {
-	for i := range s.presentPending {
-		e := s.presentPending[i]
-		if e.at != t {
-			continue
-		}
-		copy(s.presentPending[i:], s.presentPending[i+1:])
-		s.presentPending = s.presentPending[:len(s.presentPending)-1]
-		s.record(trace.Event{At: t, Kind: trace.FramePresent, Frame: e.frame,
-			Decoupled: e.decoupled})
-		return
-	}
-	panic(fmt.Sprintf("sim: present fence at %v with no pending frame", t))
 }
 
 // recordLatency computes the rendering-latency metric of §6.3.
@@ -1063,9 +1063,9 @@ func (s *System) reset(tr *workload.Trace) {
 // one presented frame and latency sample per trace entry, and roughly six
 // trace records per frame — start, ui-done, queued, vsync, latched,
 // present — saving the append doubling churn on the hot path), reserve the
-// telemetry row ring, arm the sampling chain, and start the panel. On the
-// Runner's reuse path the buffers usually still hold enough capacity from
-// the previous run, so nothing here allocates.
+// telemetry row ring, and start the panel. On the Runner's reuse path the
+// buffers usually still hold enough capacity from the previous run, so
+// nothing here allocates.
 func (s *System) prepare() {
 	s.prepared = true
 	n := s.cfg.Trace.Len()
@@ -1085,7 +1085,6 @@ func (s *System) prepare() {
 		// never depends on this number.
 		run := simtime.Duration(n+64) * s.res.Period * 2
 		s.tel.reg.Reserve(int(run/s.tel.interval) + 8)
-		s.scheduleSample(0)
 	}
 	s.panel.Start(0)
 }
@@ -1106,27 +1105,26 @@ func (s *System) Run() *Result {
 	if !s.prepared {
 		s.prepare()
 	}
-	s.engine.Run(s.horizonEnd())
+	s.runTo(s.horizonEnd())
 	return s.finish()
 }
 
 // finish closes the run once the engine has gone quiet: final telemetry
-// row, recorder drain, and the counters harvested into the result.
+// row, the present fences still pending, and the counters harvested into
+// the result.
 func (s *System) finish() *Result {
 	if s.tel != nil {
 		// Close the series with a run-end row so the final counter state is
-		// observable, then stop the sampling chain (a recorder drain below
-		// may still replay the pending tick; the done flag makes it inert).
-		s.tel.done = true
+		// observable.
 		now := s.engine.Now()
 		if at, ok := s.tel.reg.LastSampleAt(); !ok || now > at {
 			s.sampleTelemetry(now)
 		}
 	}
 	if s.cfg.Recorder != nil {
-		// Drain pending present-fence recordings scheduled past the last
-		// latch (the panel is stopped, so only bookkeeping events remain).
-		s.engine.RunAll()
+		// Every latched frame presents, including those latched just before
+		// the run ended.
+		s.emitPresents(simtime.Never)
 	}
 	s.res.Completed = s.streamDone()
 

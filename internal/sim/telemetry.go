@@ -1,17 +1,16 @@
 package sim
 
 import (
-	"dvsync/internal/event"
 	"dvsync/internal/simtime"
 	"dvsync/internal/telemetry"
 )
 
 // telemetryState binds one run to a live metrics registry: instruments are
 // registered at wiring time, updated from the same hook sites the trace
-// recorder uses, and sampled into the registry's time series by a
-// recurring virtual-time tick. Every hot-path access is behind a single
-// `s.tel != nil` check, so runs without a registry pay a branch and
-// nothing else (BenchmarkSimRun pins the allocation count).
+// recorder uses, and sampled into the registry's time series at every
+// interval boundary of the virtual clock (runTo). Every hot-path access is
+// behind a single `s.tel != nil` check, so runs without a registry pay a
+// branch and nothing else (BenchmarkSimRun pins the allocation count).
 //
 // The windowed-FDPS gauge is refreshed at the start of each hardware edge,
 // before that edge's jank (if any) is recorded — the same sampling point
@@ -20,9 +19,6 @@ import (
 type telemetryState struct {
 	reg      *telemetry.Registry
 	interval simtime.Duration
-	done     bool // run finished: the sampling chain stops rescheduling
-	tick     func(simtime.Time)
-	tickID   event.ID // the armed sampling tick, captured at snapshot
 
 	framesStarted   *telemetry.Counter
 	framesPresented *telemetry.Counter
@@ -90,8 +86,6 @@ func newTelemetryState(reg *telemetry.Registry, interval simtime.Duration, hz in
 func (t *telemetryState) reset(hz int) {
 	t.reg.Reset()
 	t.window.Reset()
-	t.done = false
-	t.tickID = 0
 	t.refreshHz.Set(float64(hz))
 }
 
@@ -104,29 +98,40 @@ func (t *telemetryState) observeJank(now simtime.Time) {
 	t.window.Observe(now)
 }
 
-// scheduleSample arms the next sampling tick. Ticks run at
-// PriorityControl, the lowest band, so a sample at instant T sees every
-// hardware, signal and pipeline effect of T already applied.
-func (s *System) scheduleSample(at simtime.Time) {
-	s.tel.tickID = s.engine.At(at, event.PriorityControl, s.tel.tick)
-}
-
-//dvlint:hotpath runs at every telemetry sampling tick
-func (s *System) onSampleTick(now simtime.Time) {
-	t := s.tel
-	if t.done {
-		// The run stopped (or a recorder drain is replaying the pending
-		// tick): do not sample, do not reschedule.
+// runTo runs the engine up to limit. With a registry attached it pauses
+// at every sampling boundary on the way and appends that boundary's row
+// once every event at or before it has fired, so a row at instant T sees
+// every effect of T. The next boundary is the registry's last row plus
+// the interval (zero before the first row), so a restored registry needs
+// no scheduling state. A run that stops takes no boundary row (finish
+// closes the series), and runTo on a stopped run does nothing.
+func (s *System) runTo(limit simtime.Time) {
+	if s.engine.Stopped() {
 		return
 	}
-	s.sampleTelemetry(now)
-	s.scheduleSample(now.Add(t.interval))
+	if t := s.tel; t != nil {
+		for {
+			var next simtime.Time
+			if at, ok := t.reg.LastSampleAt(); ok {
+				next = at.Add(t.interval)
+			}
+			if next > limit {
+				break
+			}
+			s.engine.Run(next)
+			if s.engine.Stopped() {
+				return
+			}
+			s.sampleTelemetry(next)
+		}
+	}
+	s.engine.Run(limit)
 }
 
 // sampleTelemetry refreshes the sampled-on-read gauges (per-stage pipeline
 // occupancy, health transition counts) and appends one time-series row.
 //
-//dvlint:hotpath runs at every telemetry sampling tick
+//dvlint:hotpath runs at every telemetry sampling boundary
 func (s *System) sampleTelemetry(now simtime.Time) {
 	t := s.tel
 	t.uiBusy.Set(boolGauge(!s.producer.UIFree(now)))

@@ -70,9 +70,8 @@ func TestTelemetryCountersMatchResult(t *testing.T) {
 	}
 }
 
-// TestTelemetryZeroSampleAtStart: the sampler ticks at t=0 after the first
-// edge (hardware priority precedes the control-band sampler), so row 0
-// reflects the edge having fired.
+// TestTelemetryZeroSampleAtStart: the row at t=0 is taken once every
+// event at t=0 has fired, so row 0 reflects the first edge.
 func TestTelemetryZeroSampleAtStart(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	Run(telemetryConfig(ModeDVSync, nil, reg))
@@ -90,12 +89,13 @@ func TestTelemetryZeroSampleAtStart(t *testing.T) {
 		t.Fatal("edges column missing")
 	}
 	if got := s.Rows[0].Values[edgeCol]; got != 1 {
-		t.Errorf("edges at t=0 sample = %v, want 1 (edge fires before sampler)", got)
+		t.Errorf("edges at t=0 sample = %v, want 1 (edge fires before the row is taken)", got)
 	}
 }
 
-// TestValidateMetricsConfig: interval without registry and negative
-// intervals are configuration errors, not silent no-ops.
+// TestValidateMetricsConfig: interval without registry, negative
+// intervals and a negative MaxSimTime are configuration errors, not
+// silent no-ops.
 func TestValidateMetricsConfig(t *testing.T) {
 	cfg := telemetryConfig(ModeVSync, nil, nil)
 	cfg.MetricsInterval = simtime.FromMillis(5)
@@ -106,6 +106,11 @@ func TestValidateMetricsConfig(t *testing.T) {
 	cfg.MetricsInterval = -1
 	if _, err := TryRun(cfg); err == nil {
 		t.Error("negative MetricsInterval accepted")
+	}
+	cfg = telemetryConfig(ModeVSync, nil, telemetry.NewRegistry())
+	cfg.MaxSimTime = -1
+	if _, err := TryRun(cfg); err == nil {
+		t.Error("negative MaxSimTime accepted")
 	}
 }
 

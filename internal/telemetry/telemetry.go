@@ -334,7 +334,7 @@ func (r *Registry) Reset() {
 // Reserve (or by a previous run on a Reset registry) are reused in place,
 // so a correctly reserved run samples without allocating.
 //
-//dvlint:hotpath runs at every telemetry sampling tick
+//dvlint:hotpath runs at every telemetry sampling boundary
 func (r *Registry) Sample(now simtime.Time) {
 	if !r.frozen {
 		r.frozen = true

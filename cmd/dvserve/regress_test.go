@@ -243,6 +243,7 @@ func TestFleetEndpointRejections(t *testing.T) {
 		{"no cohorts", `{"cohorts": []}`},
 		{"unknown device", `{"cohorts": [{"device": "iphone"}]}`},
 		{"severity without fault", `{"cohorts": [{"severity": 0.5}]}`},
+		{"too many buffers", `{"cohorts": [{"device": "pixel5", "buffers": 65}]}`},
 	}
 	for _, tc := range bad {
 		code, body := postFleet(t, srv.URL, tc.body)

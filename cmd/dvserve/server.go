@@ -11,6 +11,7 @@ import (
 	"strconv"
 
 	"dvsync"
+	"dvsync/internal/sim"
 	"dvsync/internal/workload"
 )
 
@@ -42,6 +43,8 @@ func newParams(mode string, hz, buffers, frames int, seed int64, fault string, s
 		return p, usageError{fmt.Sprintf("invalid refresh rate %d (want 1..1000)", hz)}
 	case buffers < 2:
 		return p, usageError{fmt.Sprintf("%d buffers cannot double-buffer", buffers)}
+	case buffers > sim.MaxBuffers:
+		return p, usageError{fmt.Sprintf("%d buffers exceed the bound of %d", buffers, sim.MaxBuffers)}
 	case frames <= 0 || frames > 100_000:
 		return p, usageError{fmt.Sprintf("invalid frame count %d (want 1..100000)", frames)}
 	}

@@ -6,9 +6,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
+	"dvsync/internal/sim"
 	"dvsync/internal/telemetry"
 )
 
@@ -119,6 +121,7 @@ func TestQueryValidation(t *testing.T) {
 		"/metrics?hz=abc",
 		"/metrics?mode=both",
 		"/snapshot?buffers=1",
+		"/snapshot?buffers=" + strconv.Itoa(sim.MaxBuffers+1),
 		"/snapshot?frames=0",
 		"/stream?seed=one",
 		"/metrics?bogus=1",
@@ -126,6 +129,7 @@ func TestQueryValidation(t *testing.T) {
 		"/metrics?fault=bogus", // unknown fault class
 		"/metrics?fault=stall&severity=1.5",
 		"/metrics?fault=stall&severity=-0.1",
+		"/snapshot?fault=stall&severity=NaN",
 		"/metrics?fault=stall&severity=abc",
 		"/snapshot?severity=0.9", // severity without a fault class
 	}

@@ -26,6 +26,7 @@ func TestTryRunErrors(t *testing.T) {
 	}{
 		{"empty trace", Config{Mode: VSync, Panel: Pixel5.Panel(), Buffers: 3}},
 		{"too few buffers", Config{Mode: VSync, Panel: Pixel5.Panel(), Buffers: 1, Trace: tr}},
+		{"too many buffers", Config{Mode: VSync, Panel: Pixel5.Panel(), Buffers: 65, Trace: tr}}, // one past sim.MaxBuffers
 		{"no refresh rate", Config{Mode: VSync, Buffers: 3, Trace: tr}},
 		{"negative app offset", Config{Mode: VSync, Panel: Pixel5.Panel(), Buffers: 3,
 			Trace: tr, AppOffset: -FromMillis(1)}},

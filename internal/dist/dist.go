@@ -28,12 +28,23 @@ type RNG struct {
 // routes every variate (Float64, Intn, NormFloat64, Perm) through Int63
 // exactly as it does for the plain rand.NewSource it wraps, keeping output
 // byte-identical to the uncounted stream.
+//
+// A reseed is deferred: seeding the wrapped source recomputes its whole
+// 607-word state, far more work than a draw, and reused runs rewind streams
+// that often never draw. The recorded seed is applied by the first Int63,
+// which every draw reaches.
 type countingSource struct {
-	src rand.Source
-	n   uint64
+	src     rand.Source
+	n       uint64
+	seed    int64
+	pending bool // seed recorded but not yet applied to src
 }
 
 func (c *countingSource) Int63() int64 {
+	if c.pending {
+		c.src.Seed(c.seed)
+		c.pending = false
+	}
 	c.n++
 	return c.src.Int63()
 }
@@ -41,6 +52,7 @@ func (c *countingSource) Int63() int64 {
 func (c *countingSource) Seed(seed int64) {
 	c.src.Seed(seed)
 	c.n = 0
+	c.pending = false
 }
 
 // New returns a deterministic RNG for the given seed.
@@ -61,13 +73,18 @@ func NewAt(seed int64, draws uint64) *RNG {
 func (g *RNG) Seed() int64 { return g.seed }
 
 // Reseed rewinds the stream to the start of the given seed's sequence
-// without allocating — byte-identical to New(seed), because rand.Rand.Seed
-// discards its buffered state and delegates to the counting source, which
-// resets its draw count. It is the reuse path's replacement for building a
-// fresh RNG per run.
+// without allocating — byte-identical to New(seed). It records the seed and
+// zeroes Draws; the first draw (Float64, Intn, NormFloat64, Perm, Skip or
+// the parent draw of Split) seeds the source, so a stream that is rewound
+// and never drawn from costs nothing. It is the reuse path's replacement
+// for building a fresh RNG per run. Bypassing rand.Rand.Seed is sound
+// because the only state rand.Rand keeps beside its source is Read's
+// buffer, which no method here uses.
 func (g *RNG) Reseed(seed int64) {
 	g.seed = seed
-	g.r.Seed(seed)
+	g.src.seed = seed
+	g.src.n = 0
+	g.src.pending = true
 }
 
 // Draws returns how many base-source values the stream has consumed.

@@ -204,3 +204,92 @@ func TestSamplersFinite(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// reseedDraws are the entry points that must apply a deferred Reseed.
+// Each returns what it drew so two streams can be compared.
+var reseedDraws = []struct {
+	name string
+	draw func(g *RNG) []float64
+}{
+	{"Float64", func(g *RNG) []float64 { return []float64{g.Float64(), g.Float64()} }},
+	{"Intn", func(g *RNG) []float64 { return []float64{float64(g.Intn(1000)), float64(g.Intn(7))} }},
+	{"NormFloat64", func(g *RNG) []float64 { return []float64{g.NormFloat64(), g.NormFloat64()} }},
+	{"Perm", func(g *RNG) []float64 {
+		var out []float64
+		for _, v := range g.Perm(9) {
+			out = append(out, float64(v))
+		}
+		return out
+	}},
+	{"Skip", func(g *RNG) []float64 { g.Skip(5); return []float64{g.Float64()} }},
+	{"Split", func(g *RNG) []float64 {
+		c := g.Split("child")
+		return []float64{c.Float64(), c.NormFloat64(), g.Float64()}
+	}},
+}
+
+func sameDraws(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: drew %v, want %v", what, got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: drew %v, want %v", what, got, want)
+		}
+	}
+}
+
+// TestReseedMatchesNew: a Reseed is deferred to the first draw, yet every
+// entry point sees exactly the stream New would give, and Draws — the
+// checkpointed stream position — reads 0 right after Reseed whether or
+// not the stream had drawn before.
+func TestReseedMatchesNew(t *testing.T) {
+	const seed = 20260417
+	for _, d := range reseedDraws {
+		fresh := New(seed)
+		want := d.draw(fresh)
+
+		used := New(7)
+		used.Float64()
+		used.Perm(3)
+		used.Reseed(seed)
+		if n := used.Draws(); n != 0 {
+			t.Fatalf("%s: Draws() = %d right after Reseed, want 0", d.name, n)
+		}
+		if used.Seed() != seed {
+			t.Fatalf("%s: Seed() = %d after Reseed(%d)", d.name, used.Seed(), seed)
+		}
+		sameDraws(t, d.name+" after Reseed", d.draw(used), want)
+		if used.Draws() != fresh.Draws() {
+			t.Fatalf("%s: Draws() = %d, New stream %d", d.name, used.Draws(), fresh.Draws())
+		}
+		sameDraws(t, d.name+" continuing", []float64{used.Float64()}, []float64{fresh.Float64()})
+
+		// Only the last of several Reseeds without a draw between counts.
+		twice := New(seed)
+		twice.Reseed(1)
+		twice.Reseed(seed + 1)
+		twice.Reseed(seed)
+		sameDraws(t, d.name+" after repeated Reseed", d.draw(twice), want)
+	}
+}
+
+// TestReseedThenSkipMatchesNewAt: fast-forwarding a deferred Reseed is the
+// checkpoint-restore path of a reused Runner, so it must land where NewAt
+// does.
+func TestReseedThenSkipMatchesNewAt(t *testing.T) {
+	for _, n := range []uint64{0, 1, 17, 700} {
+		g := New(3)
+		g.NormFloat64()
+		g.Reseed(11)
+		g.Skip(n)
+		at := NewAt(11, n)
+		if g.Draws() != n || at.Draws() != n {
+			t.Fatalf("Skip(%d): Draws() = %d, NewAt %d", n, g.Draws(), at.Draws())
+		}
+		sameDraws(t, "Reseed+Skip vs NewAt",
+			[]float64{g.Float64(), g.NormFloat64(), float64(g.Intn(100))},
+			[]float64{at.Float64(), at.NormFloat64(), float64(at.Intn(100))})
+	}
+}

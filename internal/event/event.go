@@ -13,7 +13,6 @@
 package event
 
 import (
-	"container/heap"
 	"fmt"
 
 	"dvsync/internal/simtime"
@@ -52,50 +51,82 @@ type item struct {
 	id       ID
 	fn       Handler
 	canceled bool
-	index    int
 }
 
+// agenda is a binary min-heap of items under the (at, prio, seq) order.
+// The order is total — sequence numbers are unique — so the dispatch order
+// is a function of the scheduled items alone, never of the heap's shape.
 type agenda []*item
 
-func (a agenda) Len() int { return len(a) }
-
-func (a agenda) Less(i, j int) bool {
-	if a[i].at != a[j].at {
-		return a[i].at < a[j].at
+// before reports whether a fires before b.
+func before(a, b *item) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if a[i].prio != a[j].prio {
-		return a[i].prio < a[j].prio
+	if a.prio != b.prio {
+		return a.prio < b.prio
 	}
-	return a[i].seq < a[j].seq
+	return a.seq < b.seq
 }
 
-func (a agenda) Swap(i, j int) {
-	a[i], a[j] = a[j], a[i]
-	a[i].index = i
-	a[j].index = j
+// push adds an item, sifting it up from a new leaf.
+func (a *agenda) push(it *item) {
+	h := append(*a, it)
+	j := len(h) - 1
+	for j > 0 {
+		p := (j - 1) / 2
+		if !before(it, h[p]) {
+			break
+		}
+		h[j] = h[p]
+		j = p
+	}
+	h[j] = it
+	*a = h
 }
 
-func (a *agenda) Push(x any) {
-	it := x.(*item)
-	it.index = len(*a)
-	*a = append(*a, it)
+// pop removes and returns the earliest item. The agenda must be non-empty.
+func (a *agenda) pop() *item {
+	h := *a
+	n := len(h) - 1
+	top := h[0]
+	h[0] = h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		h.down(0)
+	}
+	*a = h
+	return top
 }
 
-func (a *agenda) Pop() any {
-	old := *a
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	it.index = -1
-	*a = old[:n-1]
-	return it
+// down sifts a[i] toward the leaves until both children sort after it.
+func (a agenda) down(i int) {
+	it := a[i]
+	n := len(a)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(a[r], a[c]) {
+			c = r
+		}
+		if !before(a[c], it) {
+			break
+		}
+		a[i] = a[c]
+		i = c
+	}
+	a[i] = it
 }
 
-// inBatch marks an item's index while it sits in the engine's dispatch
-// batch: drained out of the heap for the current instant but not yet fired.
-// Batched items stay in byID so Cancel keeps working; the marker tells
-// Cancel the item is not a heap tombstone.
-const inBatch = -2
+// init establishes the heap invariant over arbitrary contents.
+func (a agenda) init() {
+	for i := len(a)/2 - 1; i >= 0; i-- {
+		a.down(i)
+	}
+}
 
 // DefaultInstantLimit is the no-progress watchdog bound: the maximum number
 // of events the engine dispatches at a single instant before concluding the
@@ -134,9 +165,12 @@ type Engine struct {
 	seq     uint64
 	nextID  ID
 	events  agenda
-	byID    map[ID]*item
 	stopped bool
 	fired   uint64
+	// live counts scheduled events that have neither fired nor been
+	// canceled: the heap minus its tombstones, plus the undispatched
+	// remainder of the current batch.
+	live int
 
 	// free recycles dispatched agenda items: a simulation schedules one
 	// event per pipeline hop per frame, and without the free list every
@@ -164,7 +198,7 @@ type Engine struct {
 // NewEngine returns an engine positioned at t = 0 with an empty agenda.
 func NewEngine() *Engine {
 	//dvlint:ignore hotalloc one-time engine construction, not a per-event cost
-	return &Engine{byID: make(map[ID]*item), instantLimit: DefaultInstantLimit}
+	return &Engine{instantLimit: DefaultInstantLimit}
 }
 
 // SetInstantLimit overrides the no-progress watchdog bound (events per
@@ -189,7 +223,7 @@ func (e *Engine) Err() error {
 func (e *Engine) Now() simtime.Time { return e.now }
 
 // Pending returns the number of events still scheduled.
-func (e *Engine) Pending() int { return len(e.byID) }
+func (e *Engine) Pending() int { return e.live }
 
 // Fired returns the total number of events dispatched so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -215,13 +249,13 @@ func (e *Engine) At(at simtime.Time, prio Priority, fn Handler) ID {
 		//dvlint:ignore hotalloc free-list grow path: each item is allocated once and recycled forever after
 		it = &item{at: at, prio: prio, seq: e.seq, id: e.nextID, fn: fn}
 	}
-	heap.Push(&e.events, it)
-	e.byID[it.id] = it
+	e.events.push(it)
+	e.live++
 	return it.id
 }
 
 // recycle returns an item to the free list. The caller guarantees it has
-// been removed from both the heap and byID. The handler reference is
+// left both the heap and the batch. The handler reference is
 // dropped so the closure (and whatever it captures) is not kept alive by
 // the pool.
 func (e *Engine) recycle(it *item) {
@@ -241,13 +275,13 @@ func (e *Engine) After(d simtime.Duration, prio Priority, fn Handler) ID {
 // Cancel removes a scheduled event. Cancelling an already-fired or unknown
 // ID is a no-op and returns false.
 func (e *Engine) Cancel(id ID) bool {
-	it, ok := e.byID[id]
-	if !ok {
+	it, inHeap := e.find(id)
+	if it == nil {
 		return false
 	}
 	it.canceled = true
-	delete(e.byID, id)
-	if it.index == inBatch {
+	e.live--
+	if !inHeap {
 		// Drained for the current instant but not yet dispatched: the batch
 		// loop skips and recycles it. It is not a heap tombstone, so it does
 		// not count toward compaction.
@@ -266,6 +300,27 @@ func (e *Engine) Cancel(id ID) bool {
 	return true
 }
 
+// find returns the live (scheduled, not canceled) item with the given id
+// and whether it sits in the heap rather than the dispatch batch; nil when
+// the id has fired, was canceled or was never issued. It scans instead of
+// indexing by ID: a simulation cancels about once per run (stopping the
+// panel) and looks events up only at checkpoint capture, and its live
+// agenda is a handful of entries — one panel edge, a few stage completions
+// per in-flight frame and any delayed signal deliveries.
+func (e *Engine) find(id ID) (*item, bool) {
+	for _, it := range e.events {
+		if it.id == id && !it.canceled {
+			return it, true
+		}
+	}
+	for _, it := range e.batch {
+		if it != nil && it.id == id && !it.canceled {
+			return it, false
+		}
+	}
+	return nil, false
+}
+
 // compact removes canceled tombstones from the agenda and restores the
 // heap invariant over the survivors.
 func (e *Engine) compact() {
@@ -281,10 +336,7 @@ func (e *Engine) compact() {
 		e.events[i] = nil
 	}
 	e.events = kept
-	for i, it := range e.events {
-		it.index = i
-	}
-	heap.Init(&e.events)
+	e.events.init()
 	e.ncanceled = 0
 }
 
@@ -296,19 +348,18 @@ func (e *Engine) Stop() { e.stopped = true }
 // batch slice with one burst of heap pops, then dispatches from the slice.
 // Dispatch order is byte-identical to the old pop-per-event loop: before
 // each batch entry fires, the heap head is checked for a same-instant event
-// a previous handler scheduled that sorts earlier (lower priority band, or
-// same band with a smaller sequence — impossible, new events get larger
+// a previous handler scheduled that sorts earlier (a lower priority band;
+// a smaller sequence in the same band is impossible, new events get larger
 // sequences, but the comparison is kept total); if one exists the remaining
 // batch spills back into the heap and the outer loop re-drains the instant.
 func (e *Engine) runInstant(t simtime.Time) {
 	for len(e.events) > 0 && e.events[0].at == t {
-		it := heap.Pop(&e.events).(*item)
+		it := e.events.pop()
 		if it.canceled {
 			e.ncanceled--
 			e.recycle(it)
 			continue
 		}
-		it.index = inBatch
 		e.batch = append(e.batch, it)
 	}
 	e.now = t
@@ -316,7 +367,7 @@ func (e *Engine) runInstant(t simtime.Time) {
 		it := e.batch[i]
 		if it.canceled {
 			// Canceled by an earlier handler in this same batch; Cancel
-			// already removed it from byID.
+			// already took it off the live count.
 			e.batch[i] = nil
 			e.recycle(it)
 			continue
@@ -326,15 +377,13 @@ func (e *Engine) runInstant(t simtime.Time) {
 		// before the rest of the batch.
 		for len(e.events) > 0 && e.events[0].canceled {
 			e.ncanceled--
-			e.recycle(heap.Pop(&e.events).(*item))
+			e.recycle(e.events.pop())
 		}
-		if len(e.events) > 0 && e.events[0].at == t {
-			if head := e.events[0]; head.prio < it.prio || (head.prio == it.prio && head.seq < it.seq) {
-				e.spill(i)
-				return
-			}
+		if len(e.events) > 0 && before(e.events[0], it) {
+			e.spill(i)
+			return
 		}
-		delete(e.byID, it.id)
+		e.live--
 		if t == e.instantAt {
 			e.instantFired++
 		} else {
@@ -373,7 +422,7 @@ func (e *Engine) runInstant(t simtime.Time) {
 }
 
 // spill returns batch[i:] to the heap (canceled entries are recycled — they
-// are already out of byID) and empties the batch.
+// are already off the live count) and empties the batch.
 func (e *Engine) spill(i int) {
 	for ; i < len(e.batch); i++ {
 		it := e.batch[i]
@@ -385,7 +434,7 @@ func (e *Engine) spill(i int) {
 			e.recycle(it)
 			continue
 		}
-		heap.Push(&e.events, it)
+		e.events.push(it)
 	}
 	e.batch = e.batch[:0]
 }
@@ -415,10 +464,10 @@ func (e *Engine) Run(horizon simtime.Time) {
 
 // Reset returns the engine to its as-constructed condition — clock at zero,
 // empty agenda, zeroed counters, watchdog re-armed — while keeping the item
-// free list, the batch buffer and the byID map's capacity warm, so a reused
-// engine schedules its next run without allocating. A Reset engine satisfies
-// the same freshness preconditions as a NewEngine (checkpoint.Restore
-// checks them), so pooled runs snapshot and resume exactly like fresh ones.
+// free list and the heap and batch buffers warm, so a reused engine
+// schedules its next run without allocating. A Reset engine satisfies the
+// same freshness preconditions as a NewEngine (checkpoint.Restore checks
+// them), so pooled runs snapshot and resume exactly like fresh ones.
 func (e *Engine) Reset() {
 	for i, it := range e.events {
 		e.events[i] = nil
@@ -432,7 +481,7 @@ func (e *Engine) Reset() {
 		}
 	}
 	e.batch = e.batch[:0]
-	clear(e.byID)
+	e.live = 0
 	e.now = 0
 	e.seq = 0
 	e.nextID = 0
@@ -451,7 +500,7 @@ func (e *Engine) peekTime() (simtime.Time, bool) {
 	for len(e.events) > 0 {
 		if e.events[0].canceled {
 			e.ncanceled--
-			e.recycle(heap.Pop(&e.events).(*item))
+			e.recycle(e.events.pop())
 			continue
 		}
 		return e.events[0].at, true

@@ -1,7 +1,6 @@
 package event
 
 import (
-	"container/heap"
 	"fmt"
 
 	"dvsync/internal/simtime"
@@ -14,8 +13,8 @@ import (
 // serialised — carrying its exact (at, prio, seq, id) identity so post-resume
 // dispatch order, including same-instant tie-breaks, matches an uninterrupted
 // run. The free list and tombstone bookkeeping are deliberately *not* state:
-// at a quiescent boundary byID holds no cancelled entries, and the free list
-// only affects allocation counts, never dispatch order.
+// cancelled entries never fire, and the free list only affects allocation
+// counts, never dispatch order.
 //
 // Everything here runs once per snapshot or resume, outside the dispatch
 // loop, so its allocations carry explicit hotalloc waivers (the package-wide
@@ -47,20 +46,20 @@ func (e *Engine) State() State {
 	return State{Now: e.now, Seq: e.seq, NextID: e.nextID, Fired: e.fired}
 }
 
-// Lookup returns the scheduling identity of a live event.
+// Lookup returns the scheduling identity of a live event. Like Cancel it
+// scans the agenda; it runs once per owner at checkpoint capture.
 func (e *Engine) Lookup(id ID) (ScheduledEvent, bool) {
-	it, ok := e.byID[id]
-	if !ok {
-		return ScheduledEvent{}, false
+	if it, _ := e.find(id); it != nil {
+		return ScheduledEvent{At: it.at, Prio: it.prio, Seq: it.seq, ID: it.id}, true
 	}
-	return ScheduledEvent{At: it.at, Prio: it.prio, Seq: it.seq, ID: it.id}, true
+	return ScheduledEvent{}, false
 }
 
 // Restore loads checkpointed scalar state into a freshly constructed engine.
 // Restoring into an engine that has scheduled or dispatched anything is
 // rejected: partial restores would corrupt the identity counters.
 func (e *Engine) Restore(st State) error {
-	if len(e.byID) != 0 || len(e.events) != 0 || e.seq != 0 || e.fired != 0 || e.now != 0 {
+	if e.live != 0 || len(e.events) != 0 || e.seq != 0 || e.fired != 0 || e.now != 0 {
 		//dvlint:ignore hotalloc once-per-resume error path
 		return fmt.Errorf("event: restore into a non-fresh engine")
 	}
@@ -102,7 +101,7 @@ func (e *Engine) RestoreEvent(ev ScheduledEvent, fn Handler) error {
 		//dvlint:ignore hotalloc once-per-resume error path
 		return fmt.Errorf("event: restored priority %d out of range", int(ev.Prio))
 	}
-	if _, dup := e.byID[ev.ID]; dup {
+	if it, _ := e.find(ev.ID); it != nil {
 		//dvlint:ignore hotalloc once-per-resume error path
 		return fmt.Errorf("event: duplicate restored id %d", uint64(ev.ID))
 	}
@@ -116,7 +115,7 @@ func (e *Engine) RestoreEvent(ev ScheduledEvent, fn Handler) error {
 	}
 	//dvlint:ignore hotalloc once-per-resume agenda rebuild
 	it := &item{at: ev.At, prio: ev.Prio, seq: ev.Seq, id: ev.ID, fn: fn}
-	heap.Push(&e.events, it)
-	e.byID[it.id] = it
+	e.events.push(it)
+	e.live++
 	return nil
 }

@@ -29,6 +29,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dvsync/internal/dist"
@@ -133,6 +134,9 @@ func (c *Config) Validate() error {
 			case e.End <= e.Start:
 				return fmt.Errorf("fault: %s episode window [%v, %v) is empty or inverted",
 					cl.name, e.Start, e.End)
+			case math.IsNaN(e.Severity) || math.IsInf(e.Severity, 0):
+				return fmt.Errorf("fault: %s episode at %v has non-finite severity %v",
+					cl.name, e.Start, e.Severity)
 			case e.Severity < 0:
 				return fmt.Errorf("fault: %s episode at %v has negative severity %v",
 					cl.name, e.Start, e.Severity)
@@ -351,7 +355,7 @@ func Classes() []string {
 //	input-drop   per-sample drop probability 0.8·s
 //	input-burst  batch interval 40·s ms
 func Scenario(cls string, severity float64, start, end simtime.Time, seed int64) (*Config, error) {
-	if severity < 0 || severity > 1 {
+	if !(severity >= 0 && severity <= 1) { // NaN fails both comparisons
 		return nil, fmt.Errorf("fault: scenario severity %v outside [0, 1]", severity)
 	}
 	if end <= start {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -25,6 +26,10 @@ func TestValidateRejections(t *testing.T) {
 			"negative severity"},
 		{"probability over one", Config{MissedVSync: []Episode{{Start: 0, End: ms(1), Severity: 1.5}}},
 			"probability"},
+		{"NaN severity", Config{Stalls: []Episode{{Start: 0, End: ms(1), Severity: math.NaN()}}},
+			"non-finite"},
+		{"infinite severity", Config{ClockDrift: []Episode{{Start: 0, End: ms(1), Severity: math.Inf(1)}}},
+			"non-finite"},
 		{"overlapping windows", Config{AllocFail: []Episode{
 			{Start: ms(0), End: ms(5), Severity: 0.2},
 			{Start: ms(4), End: ms(9), Severity: 0.3},
@@ -191,6 +196,9 @@ func TestScenario(t *testing.T) {
 	}
 	if _, err := Scenario("stall", 1.5, ms(0), ms(1), 7); err == nil {
 		t.Fatal("out-of-range severity accepted")
+	}
+	if _, err := Scenario("jitter", math.NaN(), ms(0), ms(1), 7); err == nil {
+		t.Fatal("NaN severity accepted")
 	}
 	if _, err := Scenario("stall", 0.5, ms(1), ms(1), 7); err == nil {
 		t.Fatal("empty window accepted")

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -194,6 +195,7 @@ func TestSpecValidation(t *testing.T) {
 		{"unknown mode", Spec{Cohorts: []Cohort{{Modes: []string{"turbo"}}}}, "unknown mode"},
 		{"bad hz", Spec{Cohorts: []Cohort{{Hz: []int{0}}}}, "refresh rate"},
 		{"single buffer", Spec{Cohorts: []Cohort{{Buffers: 1}}}, "double-buffer"},
+		{"too many buffers", Spec{Cohorts: []Cohort{{Buffers: sim.MaxBuffers + 1}}}, "exceed the bound"},
 		{"bad frames", Spec{Cohorts: []Cohort{{Frames: MaxFrames + 1}}}, "invalid frames"},
 		{"severity without fault", Spec{Cohorts: []Cohort{{Severity: sev(0.5)}}}, "without a fault class"},
 		{"severity with fault none", Spec{Cohorts: []Cohort{{Fault: "none", Severity: sev(0.5)}}}, "without a fault class"},
@@ -217,5 +219,26 @@ func TestSpecValidation(t *testing.T) {
 	// fault "none" without severity is a clean cohort, not an error.
 	if err := (Spec{Cohorts: []Cohort{{Fault: "none"}}}).Validate(); err != nil {
 		t.Errorf("fault=none: %v, want clean validation", err)
+	}
+}
+
+// TestOversizedCohortRejectedBeforeExpansion: the cell budget is checked
+// before a cohort's grid is built, so a small spec that would expand to
+// millions of cells is rejected without allocating them.
+func TestOversizedCohortRejectedBeforeExpansion(t *testing.T) {
+	spec := Spec{Cohorts: []Cohort{{
+		Hz:       []int{30, 48, 60, 72, 90, 120, 144, 165, 240, 360},
+		Modes:    []string{"vsync", "dvsync"},
+		Replicas: MaxReplicas,
+	}}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := spec.Validate()
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "expands past") {
+		t.Fatalf("Validate = %v, want an expands-past error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("rejecting the spec allocated %d bytes, want under 1 MiB", got)
 	}
 }

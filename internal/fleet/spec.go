@@ -216,25 +216,30 @@ func (s Spec) resolve() ([]resolvedCohort, error) {
 			return nil, fmt.Errorf("fleet: duplicate cohort name %q", name)
 		}
 		names[name] = true
-		rc, n, err := s.resolveCohort(c, seed, defFrames, defReplicas)
+		rc, err := s.resolveCohort(c, seed, defFrames, defReplicas, MaxCells-total)
+		if err == errTooManyCells {
+			return nil, err
+		}
 		if err != nil {
 			return nil, fmt.Errorf("fleet: cohort %q: %w", name, err)
 		}
 		rc.name = name
-		total += n
-		if total > MaxCells {
-			return nil, fmt.Errorf("fleet: spec expands past %d cells", MaxCells)
-		}
+		total += len(rc.cells)
 		out = append(out, rc)
 	}
 	return out, nil
 }
 
-// resolveCohort expands one cohort; the returned count is len(cells).
-func (s Spec) resolveCohort(c Cohort, seed int64, defFrames, defReplicas int) (resolvedCohort, int, error) {
+// errTooManyCells rejects a spec whose grid exceeds MaxCells.
+var errTooManyCells = fmt.Errorf("fleet: spec expands past %d cells", MaxCells)
+
+// resolveCohort expands one cohort into at most budget cells. The grid's
+// size is checked before any cell is built, so an oversized spec is
+// rejected without allocating its grid.
+func (s Spec) resolveCohort(c Cohort, seed int64, defFrames, defReplicas, budget int) (resolvedCohort, error) {
 	dev, err := deviceFor(c.Device)
 	if err != nil {
-		return resolvedCohort{}, 0, err
+		return resolvedCohort{}, err
 	}
 	hzs := c.Hz
 	if len(hzs) == 0 {
@@ -249,30 +254,38 @@ func (s Spec) resolveCohort(c Cohort, seed int64, defFrames, defReplicas int) (r
 		buffers = dev.Buffers
 	}
 	if buffers < 2 {
-		return resolvedCohort{}, 0, fmt.Errorf("%d buffers cannot double-buffer", buffers)
+		return resolvedCohort{}, fmt.Errorf("%d buffers cannot double-buffer", buffers)
+	}
+	if buffers > sim.MaxBuffers {
+		return resolvedCohort{}, fmt.Errorf("%d buffers exceed the bound of %d", buffers, sim.MaxBuffers)
 	}
 	frames, err := boundedDefault("frames", c.Frames, defFrames, MaxFrames)
 	if err != nil {
-		return resolvedCohort{}, 0, err
+		return resolvedCohort{}, err
 	}
 	replicas, err := boundedDefault("replicas", c.Replicas, defReplicas, MaxReplicas)
 	if err != nil {
-		return resolvedCohort{}, 0, err
+		return resolvedCohort{}, err
 	}
 	faults, faultCls, faultSev, err := faultsFor(c, seed)
 	if err != nil {
-		return resolvedCohort{}, 0, err
+		return resolvedCohort{}, err
 	}
-	var cells []cell
+	// Each factor is at most MaxCells before the product is taken, so the
+	// product cannot overflow.
+	if len(hzs) > MaxCells || len(modes) > MaxCells || len(hzs)*len(modes)*replicas > budget {
+		return resolvedCohort{}, errTooManyCells
+	}
+	cells := make([]cell, 0, len(hzs)*len(modes)*replicas)
 	for _, hz := range hzs {
 		if hz <= 0 || hz > 1000 {
-			return resolvedCohort{}, 0, fmt.Errorf("invalid refresh rate %d (want 1..1000)", hz)
+			return resolvedCohort{}, fmt.Errorf("invalid refresh rate %d (want 1..1000)", hz)
 		}
 		d := dev
 		d.RefreshHz = hz
 		prof, err := profileFor(c.Workload, d)
 		if err != nil {
-			return resolvedCohort{}, 0, err
+			return resolvedCohort{}, err
 		}
 		for _, m := range modes {
 			var mode sim.Mode
@@ -282,7 +295,7 @@ func (s Spec) resolveCohort(c Cohort, seed int64, defFrames, defReplicas int) (r
 			case "dvsync":
 				mode = sim.ModeDVSync
 			default:
-				return resolvedCohort{}, 0, fmt.Errorf("unknown mode %q (want vsync or dvsync)", m)
+				return resolvedCohort{}, fmt.Errorf("unknown mode %q (want vsync or dvsync)", m)
 			}
 			for r := 0; r < replicas; r++ {
 				cells = append(cells, cell{
@@ -293,7 +306,7 @@ func (s Spec) resolveCohort(c Cohort, seed int64, defFrames, defReplicas int) (r
 			}
 		}
 	}
-	return resolvedCohort{cells: cells}, len(cells), nil
+	return resolvedCohort{cells: cells}, nil
 }
 
 // faultsFor builds the cohort's shared fault plan. The plan is seeded by

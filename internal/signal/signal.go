@@ -28,7 +28,13 @@ const (
 	VSyncSF
 	// DVSync is the decoupled event injected by the Frame Pre-Executor.
 	DVSync
+
+	// numKinds sizes the distributor's per-kind arrays.
+	numKinds = iota
 )
+
+// known reports whether k is one of the signal kinds above.
+func (k Kind) known() bool { return k >= 0 && k < numKinds }
 
 // String names the signal like the paper's figures.
 func (k Kind) String() string {
@@ -73,23 +79,22 @@ type pendingDelivery struct {
 // Distributor fans hardware edges out to offset software signals.
 type Distributor struct {
 	engine    *event.Engine
-	offsets   map[Kind]simtime.Duration
-	listeners map[Kind][]Listener
-	delivered map[Kind]uint64
+	offsets   [numKinds]simtime.Duration
+	listeners [numKinds][]Listener
+	delivered [numKinds]uint64
 	delay     func(k Kind, at simtime.Time) simtime.Duration
 	pending   []*pendingDelivery
 }
 
 // NewDistributor creates a distributor with the given per-signal offsets.
 // A missing offset defaults to zero (the signal fires at the edge itself).
+// An unknown kind or a negative offset panics.
 func NewDistributor(e *event.Engine, offsets map[Kind]simtime.Duration) *Distributor {
-	d := &Distributor{
-		engine:    e,
-		offsets:   make(map[Kind]simtime.Duration),
-		listeners: make(map[Kind][]Listener),
-		delivered: make(map[Kind]uint64),
-	}
+	d := &Distributor{engine: e}
 	for k, off := range offsets {
+		if !k.known() {
+			panic(fmt.Sprintf("signal: offset for unknown kind %d", int(k)))
+		}
 		if off < 0 {
 			panic(fmt.Sprintf("signal: negative offset for %v", k))
 		}
@@ -121,7 +126,7 @@ func (d *Distributor) Delivered(k Kind) uint64 { return d.delivered[k] }
 // list. Subscriptions, offsets and the delay hook persist; the caller's
 // engine reset has already dropped any scheduled deliveries.
 func (d *Distributor) Reset() {
-	clear(d.delivered)
+	d.delivered = [numKinds]uint64{}
 	for i := range d.pending {
 		d.pending[i] = nil
 	}

@@ -81,6 +81,17 @@ func TestNegativeOffsetPanics(t *testing.T) {
 	NewDistributor(event.NewEngine(), map[Kind]simtime.Duration{VSyncApp: -1})
 }
 
+// TestUnknownKindOffsetPanics: offsets are indexed by kind, so a kind
+// outside the enumeration is a wiring bug caught at construction.
+func TestUnknownKindOffsetPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for an offset of an unknown kind")
+		}
+	}()
+	NewDistributor(event.NewEngine(), map[Kind]simtime.Duration{DVSync + 1: 0})
+}
+
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		VSyncApp: "VSync-app", VSyncRS: "VSync-rs", VSyncSF: "VSync-sf", DVSync: "D-VSync",

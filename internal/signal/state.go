@@ -29,9 +29,9 @@ type State struct {
 // State captures the distributor for a checkpoint.
 func (d *Distributor) State() (State, error) {
 	var st State
-	for _, k := range []Kind{VSyncApp, VSyncRS, VSyncSF, DVSync} {
-		if n := d.delivered[k]; n > 0 {
-			st.Delivered = append(st.Delivered, DeliveredCount{Kind: k, Count: n})
+	for k, n := range d.delivered {
+		if n > 0 {
+			st.Delivered = append(st.Delivered, DeliveredCount{Kind: Kind(k), Count: n})
 		}
 	}
 	for _, pe := range d.pending {
@@ -51,14 +51,14 @@ func (d *Distributor) Restore(st State) error {
 		return fmt.Errorf("signal: restore into a used distributor")
 	}
 	for _, dc := range st.Delivered {
-		if dc.Kind < VSyncApp || dc.Kind > DVSync {
+		if !dc.Kind.known() {
 			return fmt.Errorf("signal: restored delivery counter for unknown kind %d", int(dc.Kind))
 		}
 		d.delivered[dc.Kind] = dc.Count
 	}
 	for i := range st.Pending {
 		p := st.Pending[i]
-		if p.Ev.Kind < VSyncApp || p.Ev.Kind > DVSync {
+		if !p.Ev.Kind.known() {
 			return fmt.Errorf("signal: restored pending delivery of unknown kind %d", int(p.Ev.Kind))
 		}
 		pe := &pendingDelivery{ev: p.Ev, id: p.Sched.ID}

@@ -27,6 +27,8 @@ func TestValidateFaultConfigs(t *testing.T) {
 		want   string // substring of the error; "" means valid
 	}{
 		{"fault-free", func(*Config) {}, ""},
+		{"buffers at the bound", func(c *Config) { c.Buffers = MaxBuffers }, ""},
+		{"too many buffers", func(c *Config) { c.Buffers = MaxBuffers + 1 }, "exceed the bound"},
 		{"valid faults", func(c *Config) {
 			c.Faults = &fault.Config{Stalls: []fault.Episode{{Start: msT(10), End: msT(50), Severity: 1}}}
 		}, ""},

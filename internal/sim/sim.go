@@ -51,6 +51,11 @@ func (m Mode) String() string {
 // in §6.4 (102.6 µs on a little core).
 const DefaultDVSyncOverhead = 102600 * simtime.Nanosecond
 
+// MaxBuffers bounds Config.Buffers. Every experiment uses at most five; the
+// bound stops an untrusted buffer count (a dvserve query, a fleet spec)
+// from sizing a queue that exhausts memory before the run starts.
+const MaxBuffers = 64
+
 // Config describes one simulation run.
 type Config struct {
 	// Mode selects VSync or D-VSync.
@@ -324,6 +329,8 @@ func Validate(cfg Config) error {
 		return fmt.Errorf("sim: empty trace")
 	case cfg.Buffers < 2:
 		return fmt.Errorf("sim: %d buffers cannot double-buffer", cfg.Buffers)
+	case cfg.Buffers > MaxBuffers:
+		return fmt.Errorf("sim: %d buffers exceed the bound of %d", cfg.Buffers, MaxBuffers)
 	case cfg.Panel.RefreshHz <= 0:
 		return fmt.Errorf("sim: invalid panel refresh rate %d", cfg.Panel.RefreshHz)
 	case cfg.AppOffset < 0:

@@ -1,11 +1,10 @@
-// SSE plumbing and the anomaly-dump store. Streaming handlers write
+// SSE plumbing and the anomaly endpoints. Streaming handlers write
 // through sseWriter so the host-time keepalive ticker can interleave
-// comments without tearing events, and every flight-recorder dump a run
-// captures is indexed here for GET /anomalies.
+// comments without tearing events; GET /anomalies serves the fleet
+// engine's dump index, which scenario runs and censuses both fill.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"dvsync"
-	"dvsync/internal/flight"
 )
 
 // keepaliveInterval is the cadence of `: keepalive` SSE comments. A
@@ -109,66 +107,6 @@ func (s *sseWriter) startKeepalive(interval time.Duration) (stop func()) {
 	}
 }
 
-// anomalyStoreCap bounds the server's anomaly-dump index (FIFO).
-const anomalyStoreCap = 256
-
-// anomalyStore indexes sealed anomaly-dump envelopes by their
-// deterministic id. Re-capturing an id already present is a no-op, so
-// identical scenario re-runs keep first-seen order and byte content.
-type anomalyStore struct {
-	mu    sync.Mutex
-	dumps map[string][]byte
-	order []string
-}
-
-// capture seals every dump the ring holds under digest and indexes it,
-// returning this run's dump ids (present or newly added) in order.
-func (st *anomalyStore) capture(digest string, ring *dvsync.FlightRing) []string {
-	dumps := ring.Dumps()
-	if len(dumps) == 0 {
-		return nil
-	}
-	ids := make([]string, 0, len(dumps))
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.dumps == nil {
-		st.dumps = map[string][]byte{}
-	}
-	for i := range dumps {
-		d := &dumps[i]
-		id := flight.DumpID(digest, i, d.Trigger.Kind)
-		ids = append(ids, id)
-		if _, ok := st.dumps[id]; ok {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := flight.EncodeDump(&buf, digest, d); err != nil {
-			continue
-		}
-		if len(st.order) >= anomalyStoreCap {
-			delete(st.dumps, st.order[0])
-			copy(st.order, st.order[1:])
-			st.order = st.order[:len(st.order)-1]
-		}
-		st.dumps[id] = buf.Bytes()
-		st.order = append(st.order, id)
-	}
-	return ids
-}
-
-func (st *anomalyStore) get(id string) ([]byte, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	b, ok := st.dumps[id]
-	return b, ok
-}
-
-func (st *anomalyStore) ids() []string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return append([]string(nil), st.order...)
-}
-
 // anomalyEvent is the payload of one `anomaly` SSE event.
 type anomalyEvent struct {
 	ID string `json:"id"`
@@ -179,23 +117,17 @@ type anomalyList struct {
 	Anomalies []string `json:"anomalies"`
 }
 
-// anomaliesHandler serves GET /anomalies: every indexed dump id —
-// scenario-run dumps first, then fleet-census dumps — deduplicated in
-// first-seen order.
-func anomaliesHandler(rn *runner, eng *dvsync.FleetEngine) http.HandlerFunc {
+// anomaliesHandler serves GET /anomalies: every dump id the engine
+// indexes — from scenario runs and censuses alike — in first-seen order.
+func anomaliesHandler(eng *dvsync.FleetEngine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			writeError(w, http.StatusMethodNotAllowed, "dvserve: /anomalies is read-only")
 			return
 		}
-		list := anomalyList{Anomalies: []string{}}
-		seen := map[string]bool{}
-		for _, id := range append(rn.anomalies.ids(), eng.AnomalyIDs()...) {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			list.Anomalies = append(list.Anomalies, id)
+		list := anomalyList{Anomalies: eng.AnomalyIDs()}
+		if list.Anomalies == nil {
+			list.Anomalies = []string{} // an empty index is [], not null
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(list) //dvlint:ignore errflow write error to the ResponseWriter means the client went away; a handler has nowhere to propagate it
@@ -203,8 +135,9 @@ func anomaliesHandler(rn *runner, eng *dvsync.FleetEngine) http.HandlerFunc {
 }
 
 // anomalyHandler serves GET /anomalies/{id}: the sealed envelope bytes
-// of one dump, decodable with `dvtrace -why`.
-func anomalyHandler(rn *runner, eng *dvsync.FleetEngine) http.HandlerFunc {
+// of one dump, decodable with `dvtrace -why`. The engine replays the
+// producing run to seal the dump, so every fetch returns the same bytes.
+func anomalyHandler(eng *dvsync.FleetEngine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			writeError(w, http.StatusMethodNotAllowed, "dvserve: /anomalies is read-only")
@@ -215,10 +148,7 @@ func anomalyHandler(rn *runner, eng *dvsync.FleetEngine) http.HandlerFunc {
 			writeError(w, http.StatusNotFound, "dvserve: want /anomalies/{id}")
 			return
 		}
-		data, ok := rn.anomalies.get(id)
-		if !ok {
-			data, ok = eng.AnomalyDump(id)
-		}
+		data, ok := eng.AnomalyDump(id)
 		if !ok {
 			writeError(w, http.StatusNotFound, fmt.Sprintf("dvserve: unknown anomaly dump %q", id))
 			return

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -189,6 +192,138 @@ func TestFleetAnomalyEvents(t *testing.T) {
 		}
 		if _, _, err := dvsync.DecodeAnomalyDump(strings.NewReader(dump), ""); err != nil {
 			t.Errorf("fleet dump %s does not decode: %v", m[1], err)
+		}
+	}
+}
+
+// anomalyEventRE matches one `anomaly` SSE event and captures its id.
+var anomalyEventRE = regexp.MustCompile(`event: anomaly\ndata: \{"id":"([^"]+)"\}`)
+
+// announcedIDs lists the dump ids an SSE body announces, in order.
+func announcedIDs(body string) []string {
+	var ids []string
+	for _, m := range anomalyEventRE.FindAllStringSubmatch(body, -1) {
+		ids = append(ids, m[1])
+	}
+	return ids
+}
+
+// listAnomalies returns the GET /anomalies id list.
+func listAnomalies(t *testing.T, base string) []string {
+	t.Helper()
+	code, body := get(t, base+"/anomalies")
+	if code != 200 {
+		t.Fatalf("/anomalies status %d: %s", code, body)
+	}
+	var list struct {
+		Anomalies []string `json:"anomalies"`
+	}
+	if err := json.Unmarshal([]byte(body), &list); err != nil {
+		t.Fatalf("/anomalies body %q: %v", body, err)
+	}
+	return list.Anomalies
+}
+
+// scenarioDumpPins pins the sha256 of every dump the faulted stream
+// scenario announces. A dump is a pure function of the scenario, so any
+// change to how or when the server seals it must leave these bytes
+// untouched.
+var scenarioDumpPins = map[string]string{
+	"6235729c490e-00-fault-onset": "8f1ce94222c41fb13d6ac5578cc0ea48125356b7eb76daa6ec64ebc68c353e12",
+	"6235729c490e-01-jank-burst":  "57064a63ee9559addc74015d6d79b6ead1736bef3d6e5a8dc9c88fd776a64d65",
+	"6235729c490e-02-jank-burst":  "68650819ed6b340eb5807ffd3f0a9d2fa5141b19b03942dae2f32997379e72a2",
+	"6235729c490e-03-jank-burst":  "bf4437a4be078df6b1bb6ad405770fa3517d46e346f16bf03d69143912e0e8f7",
+	"6235729c490e-04-jank-burst":  "7cd862832986a78f786196a02bc2ea673af6ca7addc23d01df45f24ada72453c",
+	"6235729c490e-05-jank-burst":  "5bb4adeabdaf0047fe0d3012bd64dbadbe99e8f243e55933b4dc3ca344424766",
+	"6235729c490e-06-jank-burst":  "7ffbf33661bdf2dc2587be7d6841f80beecfca2d69c0813a88f6d4b524e49741",
+	"6235729c490e-07-jank-burst":  "ee9421c9476e26e246190ac2fc84be62f8cbfa9a478013386b398b9ac4aa4c5c",
+	"6235729c490e-08-jank-burst":  "38c2c2c0fda0d2de38124652abb017ec68e77df56ff2679791abd0577d69f7c3",
+	"6235729c490e-09-jank-burst":  "dc878ce86f2f6c59355e8dbb21baf4be453d218723530bc1c944d62e7488fc37",
+}
+
+// TestScenarioDumpBytesPinned: every dump of the faulted stream scenario
+// hashes to its pin when fetched after the scenario's cached Runner is
+// gone, so the bytes come from a replay of the run alone.
+func TestScenarioDumpBytesPinned(t *testing.T) {
+	rn := &runner{}
+	srv := testServerWith(t, rn)
+	_, body := get(t, srv.URL+"/stream"+faultedStreamQuery)
+	ids := announcedIDs(body)
+	if len(ids) != len(scenarioDumpPins) {
+		t.Errorf("stream announced %d dumps, %d are pinned: %v", len(ids), len(scenarioDumpPins), ids)
+	}
+	p, err := newParams("dvsync", 60, 4, 400, 1, "stall", 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// runnerCacheSize other scenarios evict the faulted scenario's entry.
+	for i := 0; i < runnerCacheSize; i++ {
+		if code, _ := get(t, fmt.Sprintf("%s/metrics?frames=60&seed=%d", srv.URL, 100+i)); code != 200 {
+			t.Fatalf("filler scenario %d: status %d", i, code)
+		}
+	}
+	rn.cmu.Lock()
+	_, cached := rn.cache[p.key()]
+	rn.cmu.Unlock()
+	if cached {
+		t.Fatal("the faulted scenario's Runner is still cached")
+	}
+	for _, id := range ids {
+		code, dump := get(t, srv.URL+"/anomalies/"+id)
+		if code != 200 {
+			t.Fatalf("/anomalies/%s status %d", id, code)
+		}
+		sum := sha256.Sum256([]byte(dump))
+		if got := hex.EncodeToString(sum[:]); got != scenarioDumpPins[id] {
+			t.Errorf("dump %q: sha256 %s, pinned %q", id, got, scenarioDumpPins[id])
+		}
+	}
+}
+
+// TestAnomaliesSingleIndex: scenario runs and censuses fill one dump
+// index. After a faulted /stream, a faulted census, the same /stream
+// again and then a second faulted scenario, GET /anomalies lists every
+// announced id exactly once, in the order the ids were first announced —
+// the census's ids before the second scenario's — and every id fetches.
+func TestAnomaliesSingleIndex(t *testing.T) {
+	srv := testServer(t)
+	_, s1 := get(t, srv.URL+"/stream"+faultedStreamQuery)
+	streamIDs := announcedIDs(s1)
+	spec := `{"name":"anomaly","frames":400,"cohorts":[` +
+		`{"name":"stalled","device":"pixel5","hz":[60],"modes":["dvsync"],"fault":"stall","severity":0.8}]}`
+	code, f := postFleet(t, srv.URL, spec)
+	if code != 200 {
+		t.Fatalf("/fleet status %d: %.300s", code, f)
+	}
+	fleetIDs := announcedIDs(f)
+	_, s2 := get(t, srv.URL+"/stream"+faultedStreamQuery)
+	_, s3 := get(t, srv.URL+"/stream"+faultedStreamQuery+"&seed=2")
+	laterIDs := announcedIDs(s3)
+	if len(streamIDs) == 0 || len(fleetIDs) == 0 || len(laterIDs) == 0 {
+		t.Fatalf("streams announced %d and %d dumps, census %d; all must announce some",
+			len(streamIDs), len(laterIDs), len(fleetIDs))
+	}
+	if again := announcedIDs(s2); !slices.Equal(again, streamIDs) {
+		t.Errorf("repeat stream announced %v, first run %v", again, streamIDs)
+	}
+
+	var want []string
+	for _, id := range slices.Concat(streamIDs, fleetIDs, streamIDs, laterIDs) {
+		if !slices.Contains(want, id) {
+			want = append(want, id)
+		}
+	}
+	got := listAnomalies(t, srv.URL)
+	if !slices.Equal(got, want) {
+		t.Errorf("/anomalies lists\n%v\nwant first-seen order\n%v", got, want)
+	}
+	for _, id := range got {
+		code, dump := get(t, srv.URL+"/anomalies/"+id)
+		if code != 200 {
+			t.Fatalf("/anomalies/%s status %d", id, code)
+		}
+		if _, _, err := dvsync.DecodeAnomalyDump(strings.NewReader(dump), ""); err != nil {
+			t.Errorf("dump %s does not decode: %v", id, err)
 		}
 	}
 }

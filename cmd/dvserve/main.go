@@ -19,8 +19,11 @@
 //	POST /fleet      JSON census spec in, SSE out: one cohort event per
 //	                 cohort (followed by anomaly events naming its dumps),
 //	                 then a terminal fleet event (DESIGN.md §14)
-//	GET /anomalies   JSON list of captured flight-recorder anomaly dump ids
-//	GET /anomalies/{id}  one sealed dump envelope (decode: dvtrace -why)
+//	GET /anomalies   JSON list of flight-recorder anomaly dump ids from
+//	                 scenario runs and censuses alike, in first-seen
+//	                 order; the newest 1 024 are kept
+//	GET /anomalies/{id}  one sealed dump envelope, rebuilt by replaying
+//	                 the run that captured it (decode: dvtrace -why)
 //	GET /healthz     liveness probe
 //	GET /debug/pprof/  standard pprof handlers
 //

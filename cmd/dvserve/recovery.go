@@ -32,9 +32,10 @@ type runner struct {
 	cache map[scenarioKey]*runEntry
 	order []scenarioKey
 
-	// anomalies indexes the flight-recorder dumps captured by cached
-	// scenario runs, served at GET /anomalies.
-	anomalies anomalyStore
+	// eng is the server's fleet engine (newServer sets it). Cached
+	// scenario runs register their flight-recorder dump ids in its dump
+	// index, the one GET /anomalies serves.
+	eng *dvsync.FleetEngine
 
 	// crashAfter, when non-zero, aborts the run right after the first
 	// checkpoint at or past this instant — test hook for the recovery path.

@@ -85,7 +85,10 @@ func (rn *runner) entry(p params) *runEntry {
 // serve also returns the anomaly-dump ids the run's flight recorder
 // captured (always empty on the checkpointed path, which runs without a
 // recorder by design): the SSE handlers announce them as `anomaly`
-// events and GET /anomalies serves the dumps.
+// events. The ids go into the fleet engine's dump index with a replay of
+// p, so GET /anomalies/{id} seals each dump on fetch and the server
+// keeps no dump bytes. The replay attaches no registry: observers do not
+// change a run, so it triggers the same dumps.
 func (rn *runner) serve(p params,
 	onSample func(*dvsync.TelemetryRegistry, dvsync.TelemetrySample),
 	emit func(*dvsync.TelemetryRegistry)) (simtime.Time, []string, error) {
@@ -118,7 +121,8 @@ func (rn *runner) serve(p params,
 		defer reg.OnSample(nil)
 	}
 	e.rn.Run()
-	ids := rn.anomalies.capture(e.digest, e.ring)
+	ids := e.ring.DumpIDs(e.digest)
+	rn.eng.IndexDumps(e.digest, func() dvsync.Config { return p.config(nil) }, ids)
 	emit(e.reg)
 	return 0, ids, nil
 }

@@ -215,9 +215,10 @@ func newServer(def params, rn *runner) http.Handler {
 	})
 	mux.HandleFunc("/stream", streamHandler(def, rn))
 	eng := dvsync.NewFleetEngine()
+	rn.eng = eng
 	mux.HandleFunc("/fleet", fleetHandler(eng))
-	mux.HandleFunc("/anomalies", anomaliesHandler(rn, eng))
-	mux.HandleFunc("/anomalies/", anomalyHandler(rn, eng))
+	mux.HandleFunc("/anomalies", anomaliesHandler(eng))
+	mux.HandleFunc("/anomalies/", anomalyHandler(eng))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
 	})

@@ -269,16 +269,16 @@ func resumeSystem(cfg dvsync.Config, store *checkpoint.Store, digest string) (*s
 
 // writeFlightDumps seals every anomaly dump the ring captured into
 // -flight/<id>.dump, pinned to the run's config digest. Ids and bytes
-// are deterministic: two identical runs write identical files.
+// are deterministic: two identical runs write identical files, and a
+// resumed run writes its post-cut dumps under the straight run's names.
 func writeFlightDumps(ring *dvsync.FlightRing, cfg dvsync.Config) error {
 	if err := os.MkdirAll(flightDir, 0o755); err != nil {
 		return err
 	}
 	digest := sim.ConfigDigest(cfg)
 	dumps := ring.Dumps()
-	for i := range dumps {
+	for i, id := range ring.DumpIDs(digest) {
 		d := &dumps[i]
-		id := flight.DumpID(digest, i, d.Trigger.Kind)
 		f, err := os.Create(filepath.Join(flightDir, id+".dump"))
 		if err != nil {
 			return err

@@ -36,8 +36,8 @@ func faultedArtifacts(t *testing.T, dir string) (dumpPaths []string, jsonlPath s
 		t.Fatal("stall run triggered no anomaly dumps (scenario too tame)")
 	}
 	digest := dvsync.ConfigDigest(cfg)
-	for i := range dumps {
-		path := filepath.Join(dir, dvsync.DumpID(digest, i, dumps[i].Trigger.Kind)+".dump")
+	for i, id := range ring.DumpIDs(digest) {
+		path := filepath.Join(dir, id+".dump")
 		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"dvsync/internal/flight"
 	"dvsync/internal/par"
+	"dvsync/internal/sim"
 )
 
 // anomalySpec is a census guaranteed to contain anomalous cells: a
@@ -273,38 +275,41 @@ func TestAnomalyDumpFetchDuringCensus(t *testing.T) {
 	}
 }
 
+// within runs f on its own goroutine and fails the test if f has not
+// returned after 10 s: a call stuck behind the census lock never would,
+// so the test gives up instead of hanging.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s is still waiting on the running census", what)
+	}
+}
+
 // TestAnomalyLookupDuringCensus: the dump index has its own lock, so ids a
 // census announces through onCohort resolve while that census is still
 // running — the "fetch GET /anomalies/{id} mid-census" promise of
 // dvserve's /fleet stream. Each lookup runs on its own goroutine while
-// onCohort holds the census up; a lookup behind the census lock could never
-// return, so the test gives up after 10 s instead of hanging.
+// onCohort holds the census up.
 func TestAnomalyLookupDuringCensus(t *testing.T) {
 	eng := NewEngine()
-	within := func(what string, f func()) {
-		t.Helper()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			f()
-		}()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s is still waiting on the running census", what)
-		}
-	}
 	announced := 0
 	_, err := eng.Census(anomalySpec(), func(c *CohortResult) {
 		for _, id := range c.AnomalyDumps {
 			announced++
 			var ids []string
-			within("AnomalyIDs", func() { ids = eng.AnomalyIDs() })
+			within(t, "AnomalyIDs", func() { ids = eng.AnomalyIDs() })
 			if !slices.Contains(ids, id) {
 				t.Errorf("announced dump %q missing from AnomalyIDs mid-census", id)
 			}
 			var ok bool
-			within("AnomalyDump("+id+")", func() { _, ok = eng.AnomalyDump(id) })
+			within(t, "AnomalyDump("+id+")", func() { _, ok = eng.AnomalyDump(id) })
 			if !ok {
 				t.Errorf("announced dump %q is not retrievable mid-census", id)
 			}
@@ -315,5 +320,92 @@ func TestAnomalyLookupDuringCensus(t *testing.T) {
 	}
 	if announced == 0 {
 		t.Fatal("the census announced no dumps")
+	}
+}
+
+// TestIndexDumpsDuringCensus: a scenario run registers its dumps through
+// IndexDumps while a census may be running, so registration takes only
+// the index lock. IndexDumps and AnomalyIDs, called from onCohort while
+// the census holds the engine lock, both return.
+func TestIndexDumpsDuringCensus(t *testing.T) {
+	eng := NewEngine()
+	replay := func() sim.Config { t.Error("IndexDumps replayed a run"); return sim.Config{} }
+	cohorts := 0
+	_, err := eng.Census(anomalySpec(), func(c *CohortResult) {
+		id := fmt.Sprintf("scenario-%02d-jank-burst", cohorts)
+		cohorts++
+		within(t, "IndexDumps", func() { eng.IndexDumps("scenario", replay, []string{id}) })
+		var ids []string
+		within(t, "AnomalyIDs", func() { ids = eng.AnomalyIDs() })
+		if !slices.Contains(ids, id) {
+			t.Errorf("id %q registered mid-census is missing from AnomalyIDs", id)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cohorts == 0 {
+		t.Fatal("the census completed no cohorts")
+	}
+}
+
+// TestDumpIndexEvictsFIFO: the dump index keeps the newest dumpIndexCap
+// ids. Registering past the bound evicts the oldest first, an evicted id
+// no longer resolves, and registering an id already present keeps its
+// place.
+func TestDumpIndexEvictsFIFO(t *testing.T) {
+	eng := NewEngine()
+	if _, err := eng.Census(anomalySpec(), nil); err != nil {
+		t.Fatal(err)
+	}
+	census := eng.AnomalyIDs()
+	if len(census) == 0 {
+		t.Fatal("the census indexed no dumps")
+	}
+	if _, ok := eng.AnomalyDump(census[0]); !ok {
+		t.Fatalf("dump %q does not resolve before eviction", census[0])
+	}
+
+	replays := 0
+	replay := func() sim.Config { replays++; return sim.Config{} }
+	synthetic := make([]string, dumpIndexCap)
+	for i := range synthetic {
+		synthetic[i] = fmt.Sprintf("synthetic-%04d-jank-burst", i)
+	}
+	// Fill to the bound: the census ids stay, the oldest synthetic ids
+	// are queued after them.
+	eng.IndexDumps("synthetic", replay, synthetic[:dumpIndexCap-len(census)])
+	if got := eng.AnomalyIDs(); len(got) != dumpIndexCap || !slices.Equal(got[:len(census)], census) {
+		t.Fatalf("index at the bound holds %d ids, census ids first: %v", len(got), got[:len(census)])
+	}
+	// Re-registering present ids, census or synthetic, moves nothing.
+	eng.IndexDumps("synthetic", replay, census)
+	eng.IndexDumps("synthetic", replay, synthetic[:3])
+	if got := eng.AnomalyIDs(); !slices.Equal(got, slices.Concat(census, synthetic[:dumpIndexCap-len(census)])) {
+		t.Fatal("re-registering present ids changed the index order")
+	}
+	if _, ok := eng.AnomalyDump(census[0]); !ok {
+		t.Fatalf("re-registering %q replaced the run that produced it", census[0])
+	}
+	// Past the bound the census ids go first, oldest first.
+	eng.IndexDumps("synthetic", replay, synthetic[dumpIndexCap-len(census):])
+	if got := eng.AnomalyIDs(); !slices.Equal(got, synthetic) {
+		t.Fatalf("after %d more ids the index holds %d ids, want exactly the synthetic ones in order",
+			len(census), len(got))
+	}
+	for _, id := range census {
+		if data, ok := eng.AnomalyDump(id); ok || data != nil {
+			t.Errorf("evicted dump %q still resolves", id)
+		}
+	}
+	// An evicted id is new again: it re-enters at the back and evicts the
+	// oldest.
+	eng.IndexDumps("synthetic", replay, census[:1])
+	if got := eng.AnomalyIDs(); got[0] != synthetic[1] || got[len(got)-1] != census[0] {
+		t.Errorf("re-registered evicted id: index runs %q … %q, want %q … %q",
+			got[0], got[len(got)-1], synthetic[1], census[0])
+	}
+	if replays != 0 {
+		t.Errorf("indexing and failed lookups replayed %d runs, want none", replays)
 	}
 }

@@ -56,26 +56,27 @@ type cellOutcome struct {
 	// re-run once under the flight recorder. dumpIDs names the dumps that
 	// re-run triggered, keyed by the cell's plain config digest — cache
 	// hits reuse them without re-running anything. The dumps themselves
-	// are not kept: src and digest are enough for AnomalyDump to replay
-	// the cell and seal any of them on demand.
+	// are not kept: the merge indexes each id with a replay of its cell,
+	// and AnomalyDump seals the dump from that replay on demand.
 	anomalous bool
 	dumpIDs   []string
-	src       cell
-	digest    string
 }
 
-// dumpRef locates one indexed anomaly dump: the outcome of the cell that
-// triggered it and the dump's index within that cell's flight re-run.
+// dumpRef locates one indexed anomaly dump: how to rebuild the run that
+// triggered it, the config digest its dumps are named and sealed under,
+// and the dump's index within the run.
 type dumpRef struct {
-	out   *cellOutcome
-	index int
+	replay func() sim.Config
+	digest string
+	index  int
 }
 
 // Engine runs censuses and owns the fleet-wide result cache. One engine
 // serialises its censuses under a mutex — the cache classification that
 // makes hit counts deterministic requires it — so dvserve shares a
 // single engine across requests for cross-request memoisation. The
-// anomaly-dump index has its own lock, so dump lookups never wait for a
+// anomaly-dump index has its own lock, so dump lookups and registrations
+// (IndexDumps, which dvserve's scenario runs call too) never wait for a
 // running census.
 type Engine struct {
 	mu    sync.Mutex
@@ -92,9 +93,9 @@ func NewEngine() *Engine {
 	return &Engine{cache: map[string]*cellOutcome{}, dumps: map[string]dumpRef{}}
 }
 
-// AnomalyIDs lists every indexed anomaly-dump id in registration order
-// (census expansion order — deterministic across repeats and -workers
-// widths).
+// AnomalyIDs lists every indexed anomaly-dump id in first-seen order
+// (within a census, expansion order — deterministic across repeats and
+// -workers widths).
 func (e *Engine) AnomalyIDs() []string {
 	e.dumpMu.Lock()
 	defer e.dumpMu.Unlock()
@@ -102,27 +103,22 @@ func (e *Engine) AnomalyIDs() []string {
 }
 
 // AnomalyDump returns the sealed envelope bytes of one indexed anomaly
-// dump. The census keeps only dump ids, so the dump is rebuilt here: the
-// producing cell is replayed under a fresh flight recorder — a pure
-// function of the cell config, hence the same bytes on every fetch. Only
-// the index lookup takes the index lock; the replay runs outside it, so
+// dump. The index keeps only dump ids, so the dump is rebuilt here: the
+// producing run is replayed under a fresh flight recorder — a pure
+// function of its config, hence the same bytes on every fetch. Only the
+// index lookup takes the index lock; the replay runs outside it, so
 // fetches neither serialise on each other nor wait for a census.
 func (e *Engine) AnomalyDump(id string) ([]byte, bool) {
 	ref, ok := e.dumpRef(id)
 	if !ok {
 		return nil, false
 	}
-	out := ref.out
-	dumps := flightRun(out.src.config())
-	if ref.index >= len(dumps) {
-		return nil, false
-	}
-	d := &dumps[ref.index]
-	if flight.DumpID(out.digest, ref.index, d.Trigger.Kind) != id {
+	ring := flightRun(ref.replay())
+	if ids := ring.DumpIDs(ref.digest); ref.index >= len(ids) || ids[ref.index] != id {
 		return nil, false
 	}
 	var buf bytes.Buffer
-	if err := flight.EncodeDump(&buf, out.digest, d); err != nil {
+	if err := flight.EncodeDump(&buf, ref.digest, &ring.Dumps()[ref.index]); err != nil {
 		return nil, false
 	}
 	return buf.Bytes(), true
@@ -136,13 +132,17 @@ func (e *Engine) dumpRef(id string) (dumpRef, bool) {
 	return ref, ok
 }
 
-// indexDumps publishes one outcome's dumps, FIFO-evicting past the
-// bound. Re-registration (cache hits, warm repeats) is a no-op, so ids
-// stay in first-seen order. The census calls it in expansion order.
-func (e *Engine) indexDumps(out *cellOutcome) {
+// IndexDumps publishes one run's dump ids, as flight.Ring.DumpIDs names
+// them under digest, FIFO-evicting past the bound. replay must rebuild
+// the run's config; AnomalyDump replays it with a flight recorder
+// attached to seal a dump. Registering an id already present is a no-op
+// (cache hits, warm repeats, repeated scenario runs), so ids stay in
+// first-seen order. The census registers its cells in expansion order.
+// IndexDumps takes only the index lock, so it never waits for a census.
+func (e *Engine) IndexDumps(digest string, replay func() sim.Config, ids []string) {
 	e.dumpMu.Lock()
 	defer e.dumpMu.Unlock()
-	for i, id := range out.dumpIDs {
+	for i, id := range ids {
 		if _, ok := e.dumps[id]; ok {
 			continue
 		}
@@ -151,7 +151,7 @@ func (e *Engine) indexDumps(out *cellOutcome) {
 			copy(e.dumpOrder, e.dumpOrder[1:])
 			e.dumpOrder = e.dumpOrder[:len(e.dumpOrder)-1]
 		}
-		e.dumps[id] = dumpRef{out: out, index: i}
+		e.dumps[id] = dumpRef{replay: replay, digest: digest, index: i}
 		e.dumpOrder = append(e.dumpOrder, id)
 	}
 }
@@ -307,10 +307,13 @@ func (e *Engine) censusCohort(rc resolvedCohort, seen map[string]bool) *CohortRe
 		e.insert(plans[i].digest, outs[j])
 	}
 	for i := range plans {
-		if plans[i].out == nil {
-			plans[i].out = outs[pending[plans[i].digest]]
+		p := &plans[i]
+		if p.out == nil {
+			p.out = outs[pending[p.digest]]
 		}
-		e.indexDumps(plans[i].out)
+		if len(p.out.dumpIDs) > 0 {
+			e.IndexDumps(p.digest, p.cell.config, p.out.dumpIDs)
+		}
 	}
 	return aggregate(rc.name, plans, len(need), hits)
 }
@@ -360,24 +363,21 @@ func (wk *worker) run(p plan) *cellOutcome {
 	}
 	if !out.completed || out.fallbacks > 0 || out.janks >= AnomalyJankThreshold {
 		out.anomalous = true
-		out.src, out.digest = p.cell, p.digest
-		for i, d := range flightRun(p.cfg) {
-			out.dumpIDs = append(out.dumpIDs, flight.DumpID(p.digest, i, d.Trigger.Kind))
-		}
+		out.dumpIDs = flightRun(p.cfg).DumpIDs(p.digest)
 	}
 	return out
 }
 
-// flightRun replays one cell fresh with the flight recorder attached and
-// returns the dumps it triggered. The replay is a pure function of the
-// cell config, so the census re-run that names the dumps and every later
-// AnomalyDump that seals one see the same dumps, no matter which worker
-// (or which census) ran the cell.
-func flightRun(cfg sim.Config) []flight.Dump {
+// flightRun runs one config fresh with the flight recorder attached and
+// returns the ring holding the dumps it triggered. The run is a pure
+// function of the config, so the census re-run that names the dumps and
+// every later AnomalyDump that seals one see the same dumps, no matter
+// which worker (or which census, or which dvserve request) ran it first.
+func flightRun(cfg sim.Config) *flight.Ring {
 	ring := flight.New(flight.Config{})
 	cfg.Recorder = ring
 	sim.Run(cfg)
-	return ring.Dumps()
+	return ring
 }
 
 // aggregate folds the cohort's outcomes — in expansion order, so float

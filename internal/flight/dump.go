@@ -31,7 +31,8 @@ type dumpMeta struct {
 // DumpID derives the deterministic identifier of the index-th dump of a
 // run: a config-digest prefix, the dump index, and the trigger kind —
 // e.g. "3f8a2c91b4d0-00-jank-burst". Identical runs yield identical ids,
-// which is what lets fleet cache hits reuse cached dumps.
+// which is what lets fleet cache hits reuse cached dumps. Name a run's
+// dumps through Ring.DumpIDs, which applies the resume offset.
 func DumpID(cfgDigest string, index int, kind TriggerKind) string {
 	prefix := cfgDigest
 	if len(prefix) > 12 {

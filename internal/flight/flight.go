@@ -272,6 +272,18 @@ func (r *Ring) Dumps() []Dump { return r.dumps }
 // straight run).
 func (r *Ring) PreDumps() int { return r.preDumps }
 
+// DumpIDs names the dumps Dumps returns, in the same order: entry i is
+// DumpID(cfgDigest, PreDumps()+i, Dumps()[i].Trigger.Kind), so a resumed
+// run names its post-cut dumps exactly as the straight run does. It is
+// the one place dumps are numbered.
+func (r *Ring) DumpIDs(cfgDigest string) []string {
+	ids := make([]string, len(r.dumps))
+	for i := range r.dumps {
+		ids[i] = DumpID(cfgDigest, r.preDumps+i, r.dumps[i].Trigger.Kind)
+	}
+	return ids
+}
+
 // Reserve is a no-op: ring storage is fixed at construction.
 //
 //dvlint:hotpath sizing call on the recording path

@@ -258,6 +258,29 @@ func TestDumpIDShape(t *testing.T) {
 	}
 }
 
+// TestDumpIDsContinueAfterResume: a ring restored from a state that had
+// taken k dumps names its first post-cut dump with index k, as the
+// straight run does, so a resumed run never reuses a pre-cut dump's id.
+func TestDumpIDsContinueAfterResume(t *testing.T) {
+	const digest = "3f8a2c91b4d0ffffffff"
+	r := New(Config{})
+	if ids := r.DumpIDs(digest); len(ids) != 0 {
+		t.Fatalf("a ring with no dumps names %v", ids)
+	}
+	const k = 3
+	if err := r.RestoreState(&State{Dumps: k}); err != nil {
+		t.Fatal(err)
+	}
+	r.Add(ev(500, trace.FaultOnset, -1, "class=stall"))
+	ids := r.DumpIDs(digest)
+	if len(ids) != 1 || len(r.Dumps()) != 1 {
+		t.Fatalf("one trigger after resume: %d ids, %d dumps, want 1", len(ids), len(r.Dumps()))
+	}
+	if want := DumpID(digest, k, TriggerFaultOnset); ids[0] != want {
+		t.Errorf("first post-cut id %q, want %q", ids[0], want)
+	}
+}
+
 // TestDumpEncodeDecodeRoundTrip: a sealed dump survives the envelope and
 // pins its producing config digest.
 func TestDumpEncodeDecodeRoundTrip(t *testing.T) {

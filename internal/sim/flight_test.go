@@ -192,9 +192,8 @@ func flightDigest(cfg Config) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// sealedDumps encodes every dump the config's ring holds, with the
-// PreDumps offset applied so a resumed run's indices line up with the
-// straight run's.
+// sealedDumps encodes every dump the config's ring holds, named by
+// Ring.DumpIDs, so a resumed run's ids line up with the straight run's.
 func sealedDumps(cfg Config) ([]string, [][]byte, error) {
 	ring, ok := cfg.Recorder.(*flight.Ring)
 	if !ok {
@@ -202,10 +201,9 @@ func sealedDumps(cfg Config) ([]string, [][]byte, error) {
 	}
 	digest := ConfigDigest(cfg)
 	dumps := ring.Dumps()
-	ids := make([]string, len(dumps))
+	ids := ring.DumpIDs(digest)
 	sealed := make([][]byte, len(dumps))
 	for i := range dumps {
-		ids[i] = flight.DumpID(digest, ring.PreDumps()+i, dumps[i].Trigger.Kind)
 		var buf bytes.Buffer
 		if err := flight.EncodeDump(&buf, digest, &dumps[i]); err != nil {
 			return nil, nil, err

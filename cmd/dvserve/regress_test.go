@@ -244,6 +244,8 @@ func TestFleetEndpointRejections(t *testing.T) {
 		{"unknown device", `{"cohorts": [{"device": "iphone"}]}`},
 		{"severity without fault", `{"cohorts": [{"severity": 0.5}]}`},
 		{"too many buffers", `{"cohorts": [{"device": "pixel5", "buffers": 65}]}`},
+		// 65 536 cells, within the cell bound, at 100 000 frames each.
+		{"too many frames", `{"frames":100000,"replicas":4096,"cohorts":[{"hz":[60,61,62,63,64,65,66,67]}]}`},
 	}
 	for _, tc := range bad {
 		code, body := postFleet(t, srv.URL, tc.body)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"slices"
 	"sync"
 
 	"dvsync/internal/flight"
@@ -15,14 +16,49 @@ import (
 // SchemaVersion versions the census result JSON.
 const SchemaVersion = 1
 
-// cacheCap bounds the content-addressed result cache. Eviction is FIFO
-// with in-place compaction — the order slice never pins evicted keys in
-// its backing array (the dvserve runner cache had exactly that leak).
+// cacheCap bounds the content-addressed result cache and the digest memo
+// in front of it, each evicting FIFO.
 const cacheCap = 4096
 
 // dumpIndexCap bounds the engine's anomaly-dump index (FIFO, like the
 // result cache).
 const dumpIndexCap = 1024
+
+// fifo is a map bounded at max keys that evicts its oldest key first.
+// Its keys sit in insertion order in a ring of at most max slots, so an
+// eviction overwrites one slot in place: O(1), with the ring's backing
+// array fixed once full and no evicted key pinned in it.
+type fifo[K comparable, V any] struct {
+	m    map[K]V
+	ring []K
+	next int // once the ring is full, the slot of the oldest key
+	max  int
+}
+
+func newFIFO[K comparable, V any](max int) fifo[K, V] {
+	return fifo[K, V]{m: map[K]V{}, max: max}
+}
+
+// add maps k to v, evicting the oldest key at the bound. Adding a key
+// already present is a no-op: its value and its place stay.
+func (f *fifo[K, V]) add(k K, v V) {
+	if _, ok := f.m[k]; ok {
+		return
+	}
+	if len(f.ring) < f.max {
+		f.ring = append(f.ring, k)
+	} else {
+		delete(f.m, f.ring[f.next])
+		f.ring[f.next] = k
+		f.next = (f.next + 1) % f.max
+	}
+	f.m[k] = v
+}
+
+// keys lists the keys oldest first.
+func (f *fifo[K, V]) keys() []K {
+	return slices.Concat(f.ring[f.next:], f.ring[:f.next])
+}
 
 // AnomalyJankThreshold classifies a cell anomalous on total jank count:
 // at or above it the cell is re-run once with the flight recorder
@@ -71,26 +107,30 @@ type dumpRef struct {
 	index  int
 }
 
-// Engine runs censuses and owns the fleet-wide result cache. One engine
-// serialises its censuses under a mutex — the cache classification that
-// makes hit counts deterministic requires it — so dvserve shares a
-// single engine across requests for cross-request memoisation. The
-// anomaly-dump index has its own lock, so dump lookups and registrations
-// (IndexDumps, which dvserve's scenario runs call too) never wait for a
-// running census.
+// Engine runs censuses and owns the fleet-wide caches: a digest memo
+// from each cell's generator inputs to its config digest, and the result
+// cache from config digest to outcome. One engine serialises its
+// censuses under a mutex — the cache classification that makes hit
+// counts deterministic requires it — so dvserve shares a single engine
+// across requests for cross-request memoisation. The anomaly-dump index
+// has its own lock, so dump lookups and registrations (IndexDumps, which
+// dvserve's scenario runs call too) never wait for a running census.
 type Engine struct {
-	mu    sync.Mutex
-	cache map[string]*cellOutcome // sim.ConfigDigest → outcome
-	order []string                // FIFO eviction order, compacted on evict
+	mu      sync.Mutex
+	cache   fifo[string, *cellOutcome] // sim.ConfigDigest → outcome
+	digests fifo[cell, string]         // generator inputs → sim.ConfigDigest
 
-	dumpMu    sync.Mutex
-	dumps     map[string]dumpRef // anomaly dump id → producing cell
-	dumpOrder []string           // FIFO eviction order of the dump index
+	dumpMu sync.Mutex
+	dumps  fifo[string, dumpRef] // anomaly dump id → producing run
 }
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
-	return &Engine{cache: map[string]*cellOutcome{}, dumps: map[string]dumpRef{}}
+	return &Engine{
+		cache:   newFIFO[string, *cellOutcome](cacheCap),
+		digests: newFIFO[cell, string](cacheCap),
+		dumps:   newFIFO[string, dumpRef](dumpIndexCap),
+	}
 }
 
 // AnomalyIDs lists every indexed anomaly-dump id in first-seen order
@@ -99,7 +139,7 @@ func NewEngine() *Engine {
 func (e *Engine) AnomalyIDs() []string {
 	e.dumpMu.Lock()
 	defer e.dumpMu.Unlock()
-	return append([]string(nil), e.dumpOrder...)
+	return e.dumps.keys()
 }
 
 // AnomalyDump returns the sealed envelope bytes of one indexed anomaly
@@ -128,7 +168,7 @@ func (e *Engine) AnomalyDump(id string) ([]byte, bool) {
 func (e *Engine) dumpRef(id string) (dumpRef, bool) {
 	e.dumpMu.Lock()
 	defer e.dumpMu.Unlock()
-	ref, ok := e.dumps[id]
+	ref, ok := e.dumps.m[id]
 	return ref, ok
 }
 
@@ -143,16 +183,7 @@ func (e *Engine) IndexDumps(digest string, replay func() sim.Config, ids []strin
 	e.dumpMu.Lock()
 	defer e.dumpMu.Unlock()
 	for i, id := range ids {
-		if _, ok := e.dumps[id]; ok {
-			continue
-		}
-		if len(e.dumpOrder) >= dumpIndexCap {
-			delete(e.dumps, e.dumpOrder[0])
-			copy(e.dumpOrder, e.dumpOrder[1:])
-			e.dumpOrder = e.dumpOrder[:len(e.dumpOrder)-1]
-		}
-		e.dumps[id] = dumpRef{replay: replay, digest: digest, index: i}
-		e.dumpOrder = append(e.dumpOrder, id)
+		e.dumps.add(id, dumpRef{replay: replay, digest: digest, index: i})
 	}
 }
 
@@ -217,14 +248,14 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// plan is one cell scheduled within a census: its generator inputs,
-// config, cache digest, runner-shape key, and (after classification/
-// simulation) its outcome.
+// plan is one cell scheduled within a census: its generator inputs, its
+// config (built only when the digest memo missed, else left for the
+// worker to build if the cell must simulate), its cache digest, and
+// (after classification/simulation) its outcome.
 type plan struct {
 	cell   cell
 	cfg    sim.Config
 	digest string
-	shape  string
 	out    *cellOutcome
 }
 
@@ -234,8 +265,9 @@ type plan struct {
 // — the /fleet SSE stream taps it. The returned Result is complete and
 // detached.
 //
-// Cohorts run one at a time. Each cell's trace and config digest are
-// computed over par.Map, and the uncached cells are sharded over
+// Cohorts run one at a time. A cell the digest memo has seen skips trace
+// generation and digesting; the rest get their trace and config digest
+// computed over par.Map. The uncached cells are sharded over
 // par.MapLocal with a pooled Runner per worker; classification against
 // the cache and the merge of shard results both run serially in
 // cell-expansion order, which is what makes the output byte-identical at
@@ -266,21 +298,39 @@ func (e *Engine) Census(spec Spec, onCohort func(*CohortResult)) (*Result, error
 
 // censusCohort runs one cohort batch: digest → classify → shard → merge.
 func (e *Engine) censusCohort(rc resolvedCohort, seen map[string]bool) *CohortResult {
-	// Generating a trace and digesting its config are pure per cell, so
-	// they fan out; only classification, which reads and counts against
-	// the shared cache, stays serial.
-	plans := par.Map(len(rc.cells), func(i int) plan {
-		c := rc.cells[i]
-		cfg := c.config()
-		return plan{cell: c, cfg: cfg, digest: sim.ConfigDigest(cfg), shape: c.shape()}
+	// A cell's config digest is a pure function of its generator inputs,
+	// so the memo answers every cell it has seen. Generating a trace and
+	// digesting its config are pure per cell, so the misses fan out; the
+	// memo lookups and records, and classification, which reads and
+	// counts against the shared cache, stay serial.
+	plans := make([]plan, len(rc.cells))
+	var miss []int // plan indices the memo has no digest for
+	for i, c := range rc.cells {
+		plans[i].cell = c
+		if d, ok := e.digests.m[c]; ok {
+			plans[i].digest = d
+		} else {
+			miss = append(miss, i)
+		}
+	}
+	fresh := par.Map(len(miss), func(j int) plan {
+		p := plans[miss[j]]
+		p.cfg = p.cell.config()
+		p.digest = sim.ConfigDigest(p.cfg)
+		return p
 	})
+	for j, i := range miss {
+		plans[i] = fresh[j]
+		e.digests.add(plans[i].cell, plans[i].digest)
+	}
+
 	var need []int              // plan indices to simulate, in expansion order
 	pending := map[string]int{} // digest → index into need, for intra-batch duplicates
 	hits := 0
 	for i := range plans {
 		d := plans[i].digest
 		seen[d] = true
-		if out, ok := e.cache[d]; ok {
+		if out, ok := e.cache.m[d]; ok {
 			plans[i].out = out
 			hits++
 			continue
@@ -304,7 +354,7 @@ func (e *Engine) censusCohort(rc resolvedCohort, seen map[string]bool) *CohortRe
 	// the cache and resolve intra-batch duplicates.
 	for j, i := range need {
 		plans[i].out = outs[j]
-		e.insert(plans[i].digest, outs[j])
+		e.cache.add(plans[i].digest, outs[j])
 	}
 	for i := range plans {
 		p := &plans[i]
@@ -318,33 +368,23 @@ func (e *Engine) censusCohort(rc resolvedCohort, seen map[string]bool) *CohortRe
 	return aggregate(rc.name, plans, len(need), hits)
 }
 
-// insert publishes one outcome, evicting FIFO past the cache bound. The
-// eviction compacts the order slice in place instead of re-slicing it
-// forward, so the backing array stays bounded and evicted digests are
-// actually released.
-func (e *Engine) insert(digest string, out *cellOutcome) {
-	if len(e.order) >= cacheCap {
-		delete(e.cache, e.order[0])
-		copy(e.order, e.order[1:])
-		e.order = e.order[:len(e.order)-1]
-	}
-	e.cache[digest] = out
-	e.order = append(e.order, digest)
-}
-
 // worker is one shard goroutine's private state.
 type worker struct {
-	runners map[string]*sim.Runner // graph shape → pooled Runner
+	runners map[shape]*sim.Runner // graph shape → pooled Runner
 }
 
-func newWorker() *worker { return &worker{runners: map[string]*sim.Runner{}} }
+func newWorker() *worker { return &worker{runners: map[shape]*sim.Runner{}} }
 
-// run simulates one cell on the worker's pooled Runner for its shape.
+// run simulates one cell on the worker's pooled Runner for its shape. A
+// cell the digest memo answered carries no config; the worker builds it.
 func (wk *worker) run(p plan) *cellOutcome {
-	rn, ok := wk.runners[p.shape]
+	if p.cfg.Trace == nil {
+		p.cfg = p.cell.config()
+	}
+	rn, ok := wk.runners[p.cell.shape]
 	if !ok {
 		rn = sim.NewRunner(p.cfg)
-		wk.runners[p.shape] = rn
+		wk.runners[p.cell.shape] = rn
 	}
 	res := rn.RunTrace(p.cfg.Trace)
 	out := &cellOutcome{

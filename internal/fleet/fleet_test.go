@@ -56,7 +56,9 @@ func TestCensusDeterminismAcrossWorkers(t *testing.T) {
 
 // TestCensusCacheAccounting pins the memoisation ledger: the duplicated
 // cohort is all hits, and a second census on the same engine simulates
-// nothing while producing the identical result.
+// nothing while producing the identical result. The warm census answers
+// every cell from the digest memo without generating a trace, so this is
+// the memo's end-to-end guard.
 func TestCensusCacheAccounting(t *testing.T) {
 	eng := NewEngine()
 	spec := DemoSpec(true)
@@ -85,22 +87,42 @@ func TestCensusCacheAccounting(t *testing.T) {
 	if second.Simulated != 0 || second.CacheHits != second.Cells {
 		t.Errorf("warm census: simulated=%d hits=%d, want 0/%d", second.Simulated, second.CacheHits, second.Cells)
 	}
-	var a, b bytes.Buffer
-	if err := first.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := second.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	// Cold and warm censuses must agree except for the hit accounting.
-	if a.Len() == 0 || b.Len() == 0 {
-		t.Fatal("empty census output")
-	}
 	for _, c := range second.Cohorts {
 		if c.Simulated != 0 {
 			t.Errorf("warm cohort %q simulated %d cells", c.Name, c.Simulated)
 		}
 	}
+	// Cold and warm censuses must agree except for the hit accounting.
+	if a, b := withoutAccounting(t, first), withoutAccounting(t, second); !bytes.Equal(a, b) {
+		t.Errorf("warm census differs from the cold one beyond its hit accounting:\ncold:\n%s\nwarm:\n%s", a, b)
+	}
+}
+
+// withoutAccounting renders a census result with its hit accounting
+// removed — Simulated and CacheHits zeroed on the result and every
+// cohort, and the two accounting counters dropped from every cohort's
+// metrics — leaving what depends on the spec alone. It edits res.
+func withoutAccounting(t *testing.T, res *Result) []byte {
+	t.Helper()
+	res.Simulated, res.CacheHits = 0, 0
+	for _, c := range res.Cohorts {
+		c.Simulated, c.CacheHits = 0, 0
+		kept := c.Metrics.Metrics[:0]
+		for _, m := range c.Metrics.Metrics {
+			if m.Name != "fleet_cells_simulated_total" && m.Name != "fleet_cache_hits_total" {
+				kept = append(kept, m)
+			}
+		}
+		if dropped := len(c.Metrics.Metrics) - len(kept); dropped != 2 {
+			t.Fatalf("cohort %q: dropped %d accounting counters, want 2", c.Name, dropped)
+		}
+		c.Metrics.Metrics = kept
+	}
+	var buf bytes.Buffer
+	if err := res.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestCensusStreamsCohortsInOrder: the onCohort tap fires once per
@@ -154,28 +176,32 @@ func TestCensusMatchesFreshRun(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionCompacts: the engine's FIFO eviction must compact the
-// order slice in place. Once the cache is full its capacity never moves
-// again — a re-slicing eviction (order = order[1:]) shrinks and
-// reallocates the backing array forever instead.
+// TestCacheEvictionCompacts: the engine's FIFO eviction overwrites the
+// oldest slot of the result cache's key ring in place. Once the cache is
+// full the ring's capacity never moves again — a re-slicing eviction
+// (ring = ring[1:]) shrinks and reallocates the backing array forever
+// instead — and the ring and the map hold the same, newest keys.
 func TestCacheEvictionCompacts(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < cacheCap; i++ {
-		e.insert(fmt.Sprintf("digest-%d", i), nil)
+		e.cache.add(fmt.Sprintf("digest-%d", i), nil)
 	}
-	base := cap(e.order)
+	base := cap(e.cache.ring)
 	for i := 0; i < 3*cacheCap; i++ {
-		e.insert(fmt.Sprintf("evict-%d", i), nil)
-		if got := cap(e.order); got != base {
-			t.Fatalf("insert %d: order capacity moved %d -> %d; eviction re-slices instead of compacting", i, base, got)
+		e.cache.add(fmt.Sprintf("evict-%d", i), nil)
+		if got := cap(e.cache.ring); got != base {
+			t.Fatalf("insert %d: ring capacity moved %d -> %d; eviction re-slices instead of overwriting", i, base, got)
 		}
 	}
-	if len(e.order) != cacheCap || len(e.cache) != cacheCap {
-		t.Errorf("cache size %d / order %d, want %d", len(e.cache), len(e.order), cacheCap)
+	if len(e.cache.ring) != cacheCap || len(e.cache.m) != cacheCap {
+		t.Errorf("cache size %d / ring %d, want %d", len(e.cache.m), len(e.cache.ring), cacheCap)
 	}
-	for _, d := range e.order {
-		if _, ok := e.cache[d]; !ok {
-			t.Fatalf("order holds evicted digest %q", d)
+	for i, d := range e.cache.keys() {
+		if want := fmt.Sprintf("evict-%d", 2*cacheCap+i); d != want {
+			t.Fatalf("key %d (oldest first) is %q, want %q", i, d, want)
+		}
+		if _, ok := e.cache.m[d]; !ok {
+			t.Fatalf("ring holds evicted digest %q", d)
 		}
 	}
 }
@@ -204,6 +230,12 @@ func TestSpecValidation(t *testing.T) {
 		{"duplicate names", Spec{Cohorts: []Cohort{{Name: "a"}, {Name: "a"}}}, "duplicate cohort name"},
 		{"too many cells", Spec{Replicas: MaxReplicas,
 			Cohorts: []Cohort{{Hz: []int{30, 60, 90, 120, 144, 165, 240, 360, 480}}}}, "expands past"},
+		{"too many frames", Spec{Frames: MaxFrames, Replicas: MaxReplicas,
+			Cohorts: []Cohort{{Hz: []int{60, 61, 62, 63, 64, 65, 66, 67}}}}, "expands past 15728640 simulated frames"},
+		{"too many frames across cohorts", Spec{Replicas: MaxReplicas, Cohorts: []Cohort{
+			{Name: "a", Hz: []int{60, 90, 120, 144}},
+			{Name: "b", Hz: []int{60, 90, 120, 144}, Frames: DefaultFrames + 1},
+		}}, "simulated frames"},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()
@@ -220,25 +252,64 @@ func TestSpecValidation(t *testing.T) {
 	if err := (Spec{Cohorts: []Cohort{{Fault: "none"}}}).Validate(); err != nil {
 		t.Errorf("fault=none: %v, want clean validation", err)
 	}
+	// A full grid at the default frame count meets both bounds exactly.
+	full := Spec{Replicas: MaxReplicas, Cohorts: []Cohort{{Hz: []int{60, 90, 120, 144, 165, 240, 360, 480}}}}
+	if err := full.Validate(); err != nil {
+		t.Errorf("a %d-cell grid at default frames: %v, want clean validation", MaxCells, err)
+	}
 }
 
-// TestOversizedCohortRejectedBeforeExpansion: the cell budget is checked
-// before a cohort's grid is built, so a small spec that would expand to
-// millions of cells is rejected without allocating them.
+// TestOversizedCohortRejectedBeforeExpansion: the cell and frame budgets
+// are checked before a cohort's grid is built, so a small spec that would
+// expand to millions of cells, or to billions of frames, is rejected
+// without allocating its cells.
 func TestOversizedCohortRejectedBeforeExpansion(t *testing.T) {
-	spec := Spec{Cohorts: []Cohort{{
-		Hz:       []int{30, 48, 60, 72, 90, 120, 144, 165, 240, 360},
-		Modes:    []string{"vsync", "dvsync"},
-		Replicas: MaxReplicas,
-	}}}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := spec.Validate()
-	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "expands past") {
-		t.Fatalf("Validate = %v, want an expands-past error", err)
+	for _, spec := range []Spec{
+		{Cohorts: []Cohort{{
+			Hz:       []int{30, 48, 60, 72, 90, 120, 144, 165, 240, 360},
+			Modes:    []string{"vsync", "dvsync"},
+			Replicas: MaxReplicas,
+		}}},
+		// 65 536 cells, within MaxCells, at 100 000 frames each.
+		{Frames: MaxFrames, Replicas: MaxReplicas,
+			Cohorts: []Cohort{{Hz: []int{60, 61, 62, 63, 64, 65, 66, 67}}}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := spec.Validate()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "expands past") {
+			t.Fatalf("Validate = %v, want an expands-past error", err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("rejecting %v allocated %d bytes, want under 1 MiB", err, got)
+		}
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Errorf("rejecting the spec allocated %d bytes, want under 1 MiB", got)
+}
+
+// BenchmarkCensus times the full demo census in cells/s: cold on a fresh
+// engine, and warm on an engine that has already run it, where every
+// cell is a digest-memo and result-cache hit.
+func BenchmarkCensus(b *testing.B) {
+	spec := DemoSpec(false)
+	run := func(b *testing.B, engine func() *Engine) {
+		cells := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := engine().Census(spec, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cells += res.Cells
+		}
+		b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
 	}
+	b.Run("cold", func(b *testing.B) { run(b, NewEngine) })
+	b.Run("warm", func(b *testing.B) {
+		eng := NewEngine()
+		if _, err := eng.Census(spec, nil); err != nil {
+			b.Fatal(err)
+		}
+		run(b, func() *Engine { return eng })
+	})
 }

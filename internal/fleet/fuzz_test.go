@@ -11,7 +11,8 @@ import (
 // FuzzSpecValidate feeds arbitrary bytes through the decode-then-Validate
 // path POST /fleet uses. Validate must never panic, and a spec it accepts
 // must expand to a bounded grid: at most MaxCells cells, each with a
-// buffer count in [2, sim.MaxBuffers] and at most MaxFrames frames.
+// buffer count in [2, sim.MaxBuffers] and at most MaxFrames frames, and
+// at most MaxCensusFrames frames over all cells.
 func FuzzSpecValidate(f *testing.F) {
 	demo, err := json.Marshal(DemoSpec(true))
 	if err != nil {
@@ -28,6 +29,7 @@ func FuzzSpecValidate(f *testing.F) {
 		`{"cohorts":[{"fault":"stall","severity":0.8},{"fault":"none"},{"name":"x","fault":"jitter","severity":1e308}]}`,
 		`{"cohorts":[{"name":"a"},{"name":"a"}]}`,
 		`{"cohorts":[{"modes":["dvsync","dvsync","vsync"],"hz":[0]}]}`,
+		`{"frames":100000,"replicas":4096,"cohorts":[{"hz":[60,61,62,63,64,65,66,67]}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -42,7 +44,7 @@ func FuzzSpecValidate(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Validate accepted a spec resolve rejects: %v", err)
 		}
-		n := 0
+		n, frames := 0, 0
 		for _, rc := range cohorts {
 			for _, c := range rc.cells {
 				if c.buffers < 2 || c.buffers > sim.MaxBuffers {
@@ -51,11 +53,15 @@ func FuzzSpecValidate(f *testing.F) {
 				if c.frames < 1 || c.frames > MaxFrames {
 					t.Fatalf("cohort %q: accepted %d frames", rc.name, c.frames)
 				}
+				frames += c.frames
 			}
 			n += len(rc.cells)
 		}
 		if n > MaxCells {
 			t.Fatalf("accepted spec expands to %d cells, bound %d", n, MaxCells)
+		}
+		if frames > MaxCensusFrames {
+			t.Fatalf("accepted spec expands to %d frames, bound %d", frames, MaxCensusFrames)
 		}
 	})
 }

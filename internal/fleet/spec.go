@@ -3,9 +3,11 @@
 // shards the cells over internal/par with pooled sim.Runners, and
 // aggregates per-cohort FDPS/jank/latency distributions into
 // internal/telemetry instruments. Identical cells — same panel, refresh,
-// mode, workload, fault plan and seed — are memoised in a
-// content-addressed result cache keyed by sim.ConfigDigest, so a cohort
-// sharing a parameter set is simulated once fleet-wide.
+// mode, workload, fault plan and seed — are memoised at two levels: a
+// digest memo maps a cell's generator inputs to its sim.ConfigDigest, so
+// a cell the engine has seen generates and digests no trace, and a
+// content-addressed result cache maps that digest to the cell's outcome,
+// so a cohort sharing a parameter set is simulated once fleet-wide.
 //
 // Determinism contract (DESIGN.md §14): cell expansion order is fixed
 // (cohort → hz → mode → replica), cells are classified against the cache
@@ -17,6 +19,7 @@ package fleet
 import (
 	"fmt"
 
+	"dvsync/internal/display"
 	"dvsync/internal/fault"
 	"dvsync/internal/scenarios"
 	"dvsync/internal/sim"
@@ -35,6 +38,11 @@ const (
 	MaxReplicas = 4096
 	// MaxFrames matches dvserve's per-run frame bound.
 	MaxFrames = 100_000
+	// MaxCensusFrames bounds the frames one census simulates, summed
+	// over its cells: a full grid at DefaultFrames. A cohort's traces are
+	// generated together, so this also bounds the trace memory of one
+	// cohort.
+	MaxCensusFrames = MaxCells * DefaultFrames
 )
 
 // Defaults applied by normalize when the spec leaves a field zero.
@@ -130,17 +138,31 @@ func profileFor(key string, dev scenarios.Device) (workload.Profile, error) {
 	return workload.Profile{}, fmt.Errorf("unknown workload %q (want default, scattered, moderate, heavy-tail or mixed)", key)
 }
 
-// cell is one fully resolved simulation of the census grid.
+// cell is one fully resolved simulation of the census grid, held as its
+// generator inputs and nothing else. Every field is a plain value — no
+// pointer, slice, map or func at any depth — so a cell is its own map
+// key: two cells are equal exactly when they hold the same inputs, and
+// config() builds the same config from both. The engine memoises each
+// cell's config digest under it.
 type cell struct {
-	dev      scenarios.Device // refresh rate already overridden
-	mode     sim.Mode
-	buffers  int
-	frames   int
-	seed     int64 // trace seed (spec seed + replica index)
-	profile  workload.Profile
-	faults   *fault.Config // nil for clean cells
-	faultCls string        // normalized class ("" when clean), for shape keying
-	faultSev float64
+	shape
+	frames  int
+	seed    int64 // trace seed (spec seed + replica index)
+	profile workload.Profile
+}
+
+// shape is every input of a cell except those of its trace: the
+// wired-graph shape. Cells sharing a shape share one pooled sim.Runner
+// per worker, which swaps traces through RunTrace.
+type shape struct {
+	device        string // the panel fields scenarios.Device.Panel reads
+	hz            int
+	width, height int
+	mode          sim.Mode
+	buffers       int
+	fault         string // normalized class ("" when clean)
+	severity      float64
+	faultSeed     int64
 }
 
 // config builds the cell's simulation configuration. The trace is
@@ -148,24 +170,17 @@ type cell struct {
 // returned config is exactly what sim.ConfigDigest keys the result cache
 // on: two cells with equal configs are the same simulation.
 func (c cell) config() sim.Config {
+	faults, err := faultPlan(c.fault, c.severity, c.faultSeed)
+	if err != nil {
+		panic(err) // resolve validated every cohort's plan (faultsFor)
+	}
 	return sim.Config{
 		Mode:    c.mode,
-		Panel:   c.dev.Panel(),
+		Panel:   display.Config{Name: c.device, RefreshHz: c.hz, Width: c.width, Height: c.height},
 		Buffers: c.buffers,
 		Trace:   c.profile.Generate(c.frames, c.seed),
-		Faults:  c.faults,
+		Faults:  faults,
 	}
-}
-
-// shape identifies the wired-graph shape of the cell: every config field
-// except the trace. Cells sharing a shape can share one sim.Runner per
-// worker, swapping traces through RunTrace.
-func (c cell) shape() string {
-	f := "none"
-	if c.faults != nil {
-		f = fmt.Sprintf("%s/%v/%d", c.faultCls, c.faultSev, c.faults.Seed)
-	}
-	return fmt.Sprintf("%s|%d|%d|%d|%s", c.dev.Name, c.dev.RefreshHz, int(c.mode), c.buffers, f)
 }
 
 // resolvedCohort is one cohort expanded to its cells, in deterministic
@@ -206,7 +221,7 @@ func (s Spec) resolve() ([]resolvedCohort, error) {
 	}
 	out := make([]resolvedCohort, 0, len(s.Cohorts))
 	names := make(map[string]bool, len(s.Cohorts))
-	total := 0
+	left := budget{cells: MaxCells, frames: MaxCensusFrames}
 	for i, c := range s.Cohorts {
 		name := c.Name
 		if name == "" {
@@ -216,27 +231,35 @@ func (s Spec) resolve() ([]resolvedCohort, error) {
 			return nil, fmt.Errorf("fleet: duplicate cohort name %q", name)
 		}
 		names[name] = true
-		rc, err := s.resolveCohort(c, seed, defFrames, defReplicas, MaxCells-total)
-		if err == errTooManyCells {
+		rc, err := s.resolveCohort(c, seed, defFrames, defReplicas, &left)
+		if err == errTooManyCells || err == errTooManyFrames {
 			return nil, err
 		}
 		if err != nil {
 			return nil, fmt.Errorf("fleet: cohort %q: %w", name, err)
 		}
 		rc.name = name
-		total += len(rc.cells)
 		out = append(out, rc)
 	}
 	return out, nil
 }
 
-// errTooManyCells rejects a spec whose grid exceeds MaxCells.
-var errTooManyCells = fmt.Errorf("fleet: spec expands past %d cells", MaxCells)
+// Expansion-bound errors, returned unwrapped: they describe the whole
+// spec, not one cohort.
+var (
+	errTooManyCells  = fmt.Errorf("fleet: spec expands past %d cells", MaxCells)
+	errTooManyFrames = fmt.Errorf("fleet: spec expands past %d simulated frames", MaxCensusFrames)
+)
 
-// resolveCohort expands one cohort into at most budget cells. The grid's
-// size is checked before any cell is built, so an oversized spec is
-// rejected without allocating its grid.
-func (s Spec) resolveCohort(c Cohort, seed int64, defFrames, defReplicas, budget int) (resolvedCohort, error) {
+// budget is what the cohorts resolved so far have left of a spec's
+// expansion bounds.
+type budget struct{ cells, frames int }
+
+// resolveCohort expands one cohort within what is left of the budget and
+// charges its cells and their frames to it. The grid's size is checked
+// before any cell is built, so an oversized spec is rejected without
+// allocating its grid or generating a trace.
+func (s Spec) resolveCohort(c Cohort, seed int64, defFrames, defReplicas int, left *budget) (resolvedCohort, error) {
 	dev, err := deviceFor(c.Device)
 	if err != nil {
 		return resolvedCohort{}, err
@@ -267,16 +290,26 @@ func (s Spec) resolveCohort(c Cohort, seed int64, defFrames, defReplicas, budget
 	if err != nil {
 		return resolvedCohort{}, err
 	}
-	faults, faultCls, faultSev, err := faultsFor(c, seed)
+	faultCls, faultSev, faultSeed, err := faultsFor(c, seed)
 	if err != nil {
 		return resolvedCohort{}, err
 	}
 	// Each factor is at most MaxCells before the product is taken, so the
-	// product cannot overflow.
-	if len(hzs) > MaxCells || len(modes) > MaxCells || len(hzs)*len(modes)*replicas > budget {
+	// product cannot overflow; dividing the frame budget keeps cells ×
+	// frames from overflowing either.
+	if len(hzs) > MaxCells || len(modes) > MaxCells {
 		return resolvedCohort{}, errTooManyCells
 	}
-	cells := make([]cell, 0, len(hzs)*len(modes)*replicas)
+	n := len(hzs) * len(modes) * replicas
+	if n > left.cells {
+		return resolvedCohort{}, errTooManyCells
+	}
+	if n > left.frames/frames {
+		return resolvedCohort{}, errTooManyFrames
+	}
+	left.cells -= n
+	left.frames -= n * frames
+	cells := make([]cell, 0, n)
 	for _, hz := range hzs {
 		if hz <= 0 || hz > 1000 {
 			return resolvedCohort{}, fmt.Errorf("invalid refresh rate %d (want 1..1000)", hz)
@@ -287,6 +320,7 @@ func (s Spec) resolveCohort(c Cohort, seed int64, defFrames, defReplicas, budget
 		if err != nil {
 			return resolvedCohort{}, err
 		}
+		panel := d.Panel()
 		for _, m := range modes {
 			var mode sim.Mode
 			switch m {
@@ -297,44 +331,54 @@ func (s Spec) resolveCohort(c Cohort, seed int64, defFrames, defReplicas, budget
 			default:
 				return resolvedCohort{}, fmt.Errorf("unknown mode %q (want vsync or dvsync)", m)
 			}
+			sh := shape{
+				device: panel.Name, hz: panel.RefreshHz, width: panel.Width, height: panel.Height,
+				mode: mode, buffers: buffers,
+				fault: faultCls, severity: faultSev, faultSeed: faultSeed,
+			}
 			for r := 0; r < replicas; r++ {
-				cells = append(cells, cell{
-					dev: d, mode: mode, buffers: buffers, frames: frames,
-					seed: seed + int64(r), profile: prof,
-					faults: faults, faultCls: faultCls, faultSev: faultSev,
-				})
+				cells = append(cells, cell{shape: sh, frames: frames, seed: seed + int64(r), profile: prof})
 			}
 		}
 	}
 	return resolvedCohort{cells: cells}, nil
 }
 
-// faultsFor builds the cohort's shared fault plan. The plan is seeded by
+// faultsFor normalizes the cohort's fault inputs and validates, once per
+// cohort, the plan cell.config builds from them. The plan is seeded by
 // the spec seed — not the replica index — so replicas of a faulted cell
-// share one wired fault config and can share a pooled Runner. The
-// injection window mirrors dvserve's: onset after a 500 ms warm-up,
-// active for the rest of the run.
-func faultsFor(c Cohort, seed int64) (*fault.Config, string, float64, error) {
-	cls := c.Fault
+// share one wired fault config and can share a pooled Runner. A clean
+// cohort's fault seed is 0: it seeds nothing.
+func faultsFor(c Cohort, seed int64) (cls string, sev float64, faultSeed int64, err error) {
+	cls = c.Fault
 	if cls == "none" {
 		cls = ""
 	}
 	if cls == "" {
 		if c.Severity != nil {
-			return nil, "", 0, fmt.Errorf("severity %v without a fault class has no effect", *c.Severity)
+			return "", 0, 0, fmt.Errorf("severity %v without a fault class has no effect", *c.Severity)
 		}
-		return nil, "", 0, nil
+		return "", 0, 0, nil
 	}
-	sev := DefaultSeverity
+	sev = DefaultSeverity
 	if c.Severity != nil {
 		sev = *c.Severity
 	}
-	fc, err := fault.Scenario(cls, sev,
-		simtime.Time(simtime.FromMillis(500)), simtime.Time(simtime.FromSeconds(3600)), seed)
-	if err != nil {
-		return nil, "", 0, err
+	if _, err = faultPlan(cls, sev, seed); err != nil {
+		return "", 0, 0, err
 	}
-	return fc, cls, sev, nil
+	return cls, sev, seed, nil
+}
+
+// faultPlan builds a cell's fault plan from its fault inputs (nil when
+// clean). The injection window mirrors dvserve's: onset after a 500 ms
+// warm-up, active for the rest of the run.
+func faultPlan(cls string, sev float64, seed int64) (*fault.Config, error) {
+	if cls == "" {
+		return nil, nil
+	}
+	return fault.Scenario(cls, sev,
+		simtime.Time(simtime.FromMillis(500)), simtime.Time(simtime.FromSeconds(3600)), seed)
 }
 
 // boundedDefault applies a zero-means-default rule under an upper bound.

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -272,6 +273,78 @@ func TestAnomalyDumpFetchDuringCensus(t *testing.T) {
 		if again, ok := eng.AnomalyDump(id); !ok || !bytes.Equal(again, data) {
 			t.Errorf("dump %q: a serial fetch disagrees with the concurrent ones", id)
 		}
+	}
+}
+
+// TestAnomalyDumpReplaysBounded: every fetch replays a whole run, so
+// concurrent fetches are bounded at GOMAXPROCS replays. The dumps of one
+// stall config are registered under a replay closure that records how
+// many of its calls overlap and sleeps briefly, then fetched from
+// 4×GOMAXPROCS goroutines at once. No more than GOMAXPROCS closures may
+// overlap, and every fetch waits its turn rather than failing, with the
+// bytes of a sequential fetch. Meant for -race.
+func TestAnomalyDumpReplaysBounded(t *testing.T) {
+	sev := 0.8
+	cohorts, err := Spec{Frames: 400, Cohorts: []Cohort{{Device: "pixel5", Hz: []int{60},
+		Modes: []string{"dvsync"}, Fault: "stall", Severity: &sev}}}.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cohorts[0].cells[0]
+	cfg := c.config()
+	digest := sim.ConfigDigest(cfg)
+	ids := freshFlightRun(cfg).DumpIDs(digest)
+	if len(ids) == 0 {
+		t.Fatal("the stall config triggered no dumps")
+	}
+
+	var (
+		mu         sync.Mutex
+		live, peak int
+	)
+	replay := func() sim.Config {
+		mu.Lock()
+		live++
+		peak = max(peak, live)
+		mu.Unlock()
+		time.Sleep(2 * time.Millisecond)
+		mu.Lock()
+		live--
+		mu.Unlock()
+		return c.config()
+	}
+	eng := NewEngine()
+	eng.IndexDumps(digest, replay, ids)
+	want := map[string][]byte{}
+	for _, id := range ids {
+		data, ok := eng.AnomalyDump(id)
+		if !ok {
+			t.Fatalf("dump %q does not resolve", id)
+		}
+		want[id] = data
+	}
+
+	slots := runtime.GOMAXPROCS(0)
+	peak = 0
+	var wg sync.WaitGroup
+	for g := 0; g < 4*slots; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range ids {
+				id := ids[(g+i)%len(ids)]
+				data, ok := eng.AnomalyDump(id)
+				if !ok {
+					t.Errorf("concurrent fetch of %q failed", id)
+				} else if !bytes.Equal(data, want[id]) {
+					t.Errorf("concurrent fetch of %q differs from a sequential one", id)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if peak > slots {
+		t.Errorf("%d replays ran at once, want at most GOMAXPROCS = %d", peak, slots)
 	}
 }
 

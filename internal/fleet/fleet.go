@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -61,8 +62,9 @@ func (f *fifo[K, V]) keys() []K {
 }
 
 // AnomalyJankThreshold classifies a cell anomalous on total jank count:
-// at or above it the cell is re-run once with the flight recorder
-// attached. Matches the recorder's own burst trigger default.
+// at or above it the cell is re-run once on its worker's flight Runner,
+// which has the flight recorder attached. Matches the recorder's own burst
+// trigger default.
 const AnomalyJankThreshold = flight.DefaultJankBurst
 
 // Per-cell distribution buckets of the cohort aggregates.
@@ -89,11 +91,12 @@ type cellOutcome struct {
 	latency   *telemetry.Histogram // per-frame latency, LatencyBucketsMs
 
 	// anomalous marks cells that met the anomaly predicate and were
-	// re-run once under the flight recorder. dumpIDs names the dumps that
-	// re-run triggered, keyed by the cell's plain config digest — cache
-	// hits reuse them without re-running anything. The dumps themselves
-	// are not kept: the merge indexes each id with a replay of its cell,
-	// and AnomalyDump seals the dump from that replay on demand.
+	// re-run once on a pooled Runner with a flight.Ring attached. dumpIDs
+	// names the dumps that re-run triggered, keyed by the cell's plain
+	// config digest — cache hits reuse them without re-running anything.
+	// The dumps themselves are not kept: the merge indexes each id with a
+	// replay of its cell, and AnomalyDump seals the dump from a fresh
+	// replay on demand.
 	anomalous bool
 	dumpIDs   []string
 }
@@ -122,6 +125,10 @@ type Engine struct {
 
 	dumpMu sync.Mutex
 	dumps  fifo[string, dumpRef] // anomaly dump id → producing run
+
+	// replays bounds concurrent AnomalyDump replays at GOMAXPROCS (read
+	// at construction): each holds a whole run and its dump buffers.
+	replays *slots
 }
 
 // NewEngine returns an empty engine.
@@ -130,6 +137,7 @@ func NewEngine() *Engine {
 		cache:   newFIFO[string, *cellOutcome](cacheCap),
 		digests: newFIFO[cell, string](cacheCap),
 		dumps:   newFIFO[string, dumpRef](dumpIndexCap),
+		replays: newSlots(runtime.GOMAXPROCS(0)),
 	}
 }
 
@@ -144,16 +152,24 @@ func (e *Engine) AnomalyIDs() []string {
 
 // AnomalyDump returns the sealed envelope bytes of one indexed anomaly
 // dump. The index keeps only dump ids, so the dump is rebuilt here: the
-// producing run is replayed under a fresh flight recorder — a pure
-// function of its config, hence the same bytes on every fetch. Only the
-// index lookup takes the index lock; the replay runs outside it, so
-// fetches neither serialise on each other nor wait for a census.
+// producing run is replayed fresh under a new flight recorder — a pure
+// function of its config, hence the same bytes on every fetch, whichever
+// census, worker or scenario run named the dump. Only the index lookup
+// takes the index lock; the replay runs outside it and outside the census
+// lock, so fetches never wait for a census. Concurrent replays are
+// bounded at GOMAXPROCS: a fetch past the bound waits for a slot, and is
+// never rejected.
 func (e *Engine) AnomalyDump(id string) ([]byte, bool) {
 	ref, ok := e.dumpRef(id)
 	if !ok {
 		return nil, false
 	}
-	ring := flightRun(ref.replay())
+	e.replays.take()
+	defer e.replays.give()
+	cfg := ref.replay()
+	ring := flight.New(flight.Config{})
+	cfg.Recorder = ring
+	sim.Run(cfg)
 	if ids := ring.DumpIDs(ref.digest); ref.index >= len(ids) || ids[ref.index] != id {
 		return nil, false
 	}
@@ -162,6 +178,39 @@ func (e *Engine) AnomalyDump(id string) ([]byte, bool) {
 		return nil, false
 	}
 	return buf.Bytes(), true
+}
+
+// slots is a counting semaphore. It is a mutex and a condition variable,
+// not a buffered channel, because channels stay inside internal/par
+// (dvlint's nogoroutine rule).
+type slots struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	free int
+}
+
+func newSlots(n int) *slots {
+	s := &slots{free: n}
+	s.cond = sync.NewCond(&s.mu)
+	return s
+}
+
+// take waits for a free slot and holds it.
+func (s *slots) take() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.free == 0 {
+		s.cond.Wait()
+	}
+	s.free--
+}
+
+// give frees a slot take held.
+func (s *slots) give() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.free++
+	s.cond.Signal()
 }
 
 // dumpRef looks one dump id up in the index.
@@ -268,7 +317,8 @@ type plan struct {
 // Cohorts run one at a time. A cell the digest memo has seen skips trace
 // generation and digesting; the rest get their trace and config digest
 // computed over par.Map. The uncached cells are sharded over
-// par.MapLocal with a pooled Runner per worker; classification against
+// par.MapLocal with pooled Runners per worker and shape, anomalous cells
+// re-run on a second, ring-attached one; classification against
 // the cache and the merge of shard results both run serially in
 // cell-expansion order, which is what makes the output byte-identical at
 // every -workers width and the hit counters exact.
@@ -344,8 +394,8 @@ func (e *Engine) censusCohort(rc resolvedCohort, seen map[string]bool) *CohortRe
 	}
 
 	// Shard the unique uncached cells. Each worker goroutine lazily pools
-	// one Runner per graph shape and swaps traces through RunTrace, so
-	// replica sweeps rebuild nothing (DESIGN.md §13).
+	// Runners per graph shape and swaps traces through RunTrace, so
+	// replica sweeps rebuild nothing (DESIGN.md §13, §14).
 	outs := par.MapLocal(len(need), newWorker, func(wk *worker, j int) *cellOutcome {
 		return wk.run(plans[need[j]])
 	})
@@ -370,23 +420,35 @@ func (e *Engine) censusCohort(rc resolvedCohort, seen map[string]bool) *CohortRe
 
 // worker is one shard goroutine's private state.
 type worker struct {
-	runners map[shape]*sim.Runner // graph shape → pooled Runner
+	pools map[shape]*pool
 }
 
-func newWorker() *worker { return &worker{runners: map[shape]*sim.Runner{}} }
+func newWorker() *worker { return &worker{pools: map[shape]*pool{}} }
 
-// run simulates one cell on the worker's pooled Runner for its shape. A
-// cell the digest memo answered carries no config; the worker builds it.
+// pool is one worker's Runners for one graph shape. Every cell runs on
+// the bare Runner. The flight half, a second Runner wired with its own
+// flight.Ring, re-runs only the anomalous cells, to learn their dump ids;
+// it is built on the shape's first anomalous cell, so a shape whose cells
+// are all clean never wires a ring, and clean cells pay nothing for it.
+type pool struct {
+	bare   *sim.Runner
+	flight *sim.Runner // nil until the shape's first anomalous cell
+	ring   *flight.Ring
+}
+
+// run simulates one cell on the worker's bare Runner for its shape, and
+// re-runs an anomalous cell on the shape's flight half. A cell the digest
+// memo answered carries no config; the worker builds it.
 func (wk *worker) run(p plan) *cellOutcome {
 	if p.cfg.Trace == nil {
 		p.cfg = p.cell.config()
 	}
-	rn, ok := wk.runners[p.cell.shape]
+	pl, ok := wk.pools[p.cell.shape]
 	if !ok {
-		rn = sim.NewRunner(p.cfg)
-		wk.runners[p.cell.shape] = rn
+		pl = &pool{bare: sim.NewRunner(p.cfg)}
+		wk.pools[p.cell.shape] = pl
 	}
-	res := rn.RunTrace(p.cfg.Trace)
+	res := pl.bare.RunTrace(p.cfg.Trace)
 	out := &cellOutcome{
 		fdps:      res.FDPS(),
 		janks:     len(res.Janks),
@@ -403,21 +465,20 @@ func (wk *worker) run(p plan) *cellOutcome {
 	}
 	if !out.completed || out.fallbacks > 0 || out.janks >= AnomalyJankThreshold {
 		out.anomalous = true
-		out.dumpIDs = flightRun(p.cfg).DumpIDs(p.digest)
+		if pl.flight == nil {
+			pl.ring = flight.New(flight.Config{})
+			cfg := p.cfg
+			cfg.Recorder = pl.ring
+			pl.flight = sim.NewRunner(cfg)
+		}
+		// A ring changes nothing about a run (TestObserversLeaveRunUnchanged)
+		// and a reused Runner runs exactly as a fresh one, so the ring holds
+		// the dumps AnomalyDump's fresh replay triggers, and DumpIDs names
+		// them under the bare cell's digest as that replay does.
+		pl.flight.RunTrace(p.cfg.Trace)
+		out.dumpIDs = pl.ring.DumpIDs(p.digest)
 	}
 	return out
-}
-
-// flightRun runs one config fresh with the flight recorder attached and
-// returns the ring holding the dumps it triggered. The run is a pure
-// function of the config, so the census re-run that names the dumps and
-// every later AnomalyDump that seals one see the same dumps, no matter
-// which worker (or which census, or which dvserve request) ran it first.
-func flightRun(cfg sim.Config) *flight.Ring {
-	ring := flight.New(flight.Config{})
-	cfg.Recorder = ring
-	sim.Run(cfg)
-	return ring
 }
 
 // aggregate folds the cohort's outcomes — in expansion order, so float

@@ -287,29 +287,39 @@ func TestOversizedCohortRejectedBeforeExpansion(t *testing.T) {
 	}
 }
 
-// BenchmarkCensus times the full demo census in cells/s: cold on a fresh
-// engine, and warm on an engine that has already run it, where every
-// cell is a digest-memo and result-cache hit.
+// BenchmarkCensus times censuses in cells/s: the full demo census cold
+// on a fresh engine, and warm on an engine that has already run it, where
+// every cell is a digest-memo and result-cache hit; and clean, a cold
+// census of DemoSpec's two LTPO cohorts at 20 replicas, 100 cells none of
+// which is anomalous, so only the bare pooled Runners run.
 func BenchmarkCensus(b *testing.B) {
 	spec := DemoSpec(false)
-	run := func(b *testing.B, engine func() *Engine) {
+	run := func(b *testing.B, spec Spec, engine func() *Engine) *Result {
+		var res *Result
 		cells := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := engine().Census(spec, nil)
-			if err != nil {
+			var err error
+			if res, err = engine().Census(spec, nil); err != nil {
 				b.Fatal(err)
 			}
 			cells += res.Cells
 		}
 		b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
+		return res
 	}
-	b.Run("cold", func(b *testing.B) { run(b, NewEngine) })
+	b.Run("cold", func(b *testing.B) { run(b, spec, NewEngine) })
 	b.Run("warm", func(b *testing.B) {
 		eng := NewEngine()
 		if _, err := eng.Census(spec, nil); err != nil {
 			b.Fatal(err)
 		}
-		run(b, func() *Engine { return eng })
+		run(b, spec, func() *Engine { return eng })
+	})
+	b.Run("clean", func(b *testing.B) {
+		res := run(b, cleanSpec(20), NewEngine)
+		if res.Cells != 100 || res.Anomalies != 0 {
+			b.Fatalf("clean census: %d cells, %d anomalous; want 100 and 0", res.Cells, res.Anomalies)
+		}
 	})
 }

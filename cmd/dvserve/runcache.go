@@ -38,8 +38,7 @@ type runEntry struct {
 	mu     sync.Mutex
 	rn     *dvsync.Runner
 	reg    *dvsync.TelemetryRegistry
-	ring   *dvsync.FlightRing // flight recorder wired into the cached graph
-	digest string             // config digest pinning the entry's dumps
+	digest string // config digest naming and sealing the entry's dumps
 }
 
 // entry returns the cached run context for p's parameter set, creating
@@ -82,13 +81,20 @@ func (rn *runner) entry(p params) *runEntry {
 // registry past it. Checkpointed runs keep the uncached path — their
 // graphs are rebuilt or resumed from snapshots by design, and reuse
 // would fight the resume machinery for the same state.
-// serve also returns the anomaly-dump ids the run's flight recorder
-// captured (always empty on the checkpointed path, which runs without a
-// recorder by design): the SSE handlers announce them as `anomaly`
-// events. The ids go into the fleet engine's dump index with a replay of
-// p, so GET /anomalies/{id} seals each dump on fetch and the server
-// keeps no dump bytes. The replay attaches no registry: observers do not
+// serve also returns the run's anomaly-dump ids (always empty on the
+// checkpointed path): the SSE handlers announce them as `anomaly`
+// events. The Runner carries no flight recorder; DumpIDs derives the ids
+// a default ring on the run would take. The ids go into the fleet
+// engine's dump index with a replay of p, so GET /anomalies/{id} seals
+// each dump on fetch by replaying p under a ring, and the server keeps
+// no dump bytes. The replay attaches no registry: observers do not
 // change a run, so it triggers the same dumps.
+//
+// Scenario dumps are named and sealed under the digest of the config
+// with the registry and a default ring attached, as when the cached
+// Runner carried the ring: the digest records the sinks' presence and
+// the ring's parameters, so the ring is built for the digest alone, once
+// per entry, and never runs.
 func (rn *runner) serve(p params,
 	onSample func(*dvsync.TelemetryRegistry, dvsync.TelemetrySample),
 	emit func(*dvsync.TelemetryRegistry)) (simtime.Time, []string, error) {
@@ -109,11 +115,10 @@ func (rn *runner) serve(p params,
 	defer e.mu.Unlock()
 	if e.rn == nil {
 		e.reg = dvsync.NewTelemetryRegistry()
-		e.ring = dvsync.NewFlightRecorder(dvsync.FlightConfig{})
 		cfg := p.config(e.reg)
-		cfg.Recorder = e.ring
-		e.digest = dvsync.ConfigDigest(cfg)
 		e.rn = dvsync.NewRunner(cfg)
+		cfg.Recorder = dvsync.NewFlightRecorder(dvsync.FlightConfig{})
+		e.digest = dvsync.ConfigDigest(cfg)
 	}
 	if onSample != nil {
 		reg := e.reg
@@ -121,7 +126,7 @@ func (rn *runner) serve(p params,
 		defer reg.OnSample(nil)
 	}
 	e.rn.Run()
-	ids := e.ring.DumpIDs(e.digest)
+	ids := e.rn.DumpIDs(e.digest)
 	rn.eng.IndexDumps(e.digest, func() dvsync.Config { return p.config(nil) }, ids)
 	emit(e.reg)
 	return 0, ids, nil

@@ -266,7 +266,7 @@ type errorEvent struct {
 // keepalive ticker interleaves `: keepalive` comments whenever the run
 // computes for longer than keepaliveInterval, so proxies and idle
 // timeouts never cut a slow stream. After the snapshot, one `anomaly`
-// event per flight-recorder dump the run captured names the ids
+// event per dump a flight recorder on the run would take names the ids
 // GET /anomalies/{id} serves.
 func streamHandler(def params, rn *runner) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {

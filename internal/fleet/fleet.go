@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"runtime"
+	"runtime/pprof"
 	"slices"
 	"sync"
 
@@ -62,9 +64,8 @@ func (f *fifo[K, V]) keys() []K {
 }
 
 // AnomalyJankThreshold classifies a cell anomalous on total jank count:
-// at or above it the cell is re-run once on its worker's flight Runner,
-// which has the flight recorder attached. Matches the recorder's own burst
-// trigger default.
+// at or above it the cell names its anomaly dumps, derived from its run
+// (sim.Runner.DumpIDs). Matches the recorder's own burst trigger default.
 const AnomalyJankThreshold = flight.DefaultJankBurst
 
 // Per-cell distribution buckets of the cohort aggregates.
@@ -90,13 +91,13 @@ type cellOutcome struct {
 	completed bool
 	latency   *telemetry.Histogram // per-frame latency, LatencyBucketsMs
 
-	// anomalous marks cells that met the anomaly predicate and were
-	// re-run once on a pooled Runner with a flight.Ring attached. dumpIDs
-	// names the dumps that re-run triggered, keyed by the cell's plain
-	// config digest — cache hits reuse them without re-running anything.
-	// The dumps themselves are not kept: the merge indexes each id with a
-	// replay of its cell, and AnomalyDump seals the dump from a fresh
-	// replay on demand.
+	// anomalous marks cells that met the anomaly predicate. dumpIDs names
+	// the dumps a flight ring on the cell's run would take, derived from
+	// the run itself under the cell's plain config digest — cache hits
+	// reuse them without running anything. The dumps themselves are not
+	// kept: the merge indexes each id with a replay of its cell, and
+	// AnomalyDump seals the dump from a fresh replay under a ring on
+	// demand.
 	anomalous bool
 	dumpIDs   []string
 }
@@ -154,9 +155,12 @@ func (e *Engine) AnomalyIDs() []string {
 // dump. The index keeps only dump ids, so the dump is rebuilt here: the
 // producing run is replayed fresh under a new flight recorder — a pure
 // function of its config, hence the same bytes on every fetch, whichever
-// census, worker or scenario run named the dump. Only the index lookup
-// takes the index lock; the replay runs outside it and outside the census
-// lock, so fetches never wait for a census. Concurrent replays are
+// census, worker or scenario run named the dump. Producers derive ids from
+// bare runs (sim.Runner.DumpIDs), so the id check after the replay
+// cross-checks every fetched id against a real ring: an id the ring does
+// not take at its index is not found. Only the index lookup takes the
+// index lock; the replay runs outside it and outside the census lock, so
+// fetches never wait for a census. Concurrent replays are
 // bounded at GOMAXPROCS: a fetch past the bound waits for a slot, and is
 // never rejected.
 func (e *Engine) AnomalyDump(id string) ([]byte, bool) {
@@ -221,10 +225,10 @@ func (e *Engine) dumpRef(id string) (dumpRef, bool) {
 	return ref, ok
 }
 
-// IndexDumps publishes one run's dump ids, as flight.Ring.DumpIDs names
-// them under digest, FIFO-evicting past the bound. replay must rebuild
-// the run's config; AnomalyDump replays it with a flight recorder
-// attached to seal a dump. Registering an id already present is a no-op
+// IndexDumps publishes one run's dump ids, as flight.Ring.DumpIDs or
+// sim.Runner.DumpIDs names them under digest, FIFO-evicting past the
+// bound. replay must rebuild the run's config; AnomalyDump replays it
+// with a flight recorder attached to seal a dump. Registering an id already present is a no-op
 // (cache hits, warm repeats, repeated scenario runs), so ids stay in
 // first-seen order. The census registers its cells in expansion order.
 // IndexDumps takes only the index lock, so it never waits for a census.
@@ -254,9 +258,8 @@ type CohortResult struct {
 	// Janks totals repeated-frame edges across the cohort.
 	Janks int `json:"janks"`
 	// Anomalies counts cells that met the anomaly predicate (watchdog
-	// trip, fallback, or ≥ AnomalyJankThreshold janks) and were re-run
-	// under the flight recorder; AnomalyDumps lists their dump ids in
-	// expansion order.
+	// trip, fallback, or ≥ AnomalyJankThreshold janks); AnomalyDumps lists
+	// the dump ids derived from their runs, in expansion order.
 	Anomalies    int      `json:"anomalies"`
 	AnomalyDumps []string `json:"anomaly_dumps,omitempty"`
 	// Metrics is the cohort's telemetry snapshot: counters, mean gauges
@@ -317,11 +320,12 @@ type plan struct {
 // Cohorts run one at a time. A cell the digest memo has seen skips trace
 // generation and digesting; the rest get their trace and config digest
 // computed over par.Map. The uncached cells are sharded over
-// par.MapLocal with pooled Runners per worker and shape, anomalous cells
-// re-run on a second, ring-attached one; classification against
-// the cache and the merge of shard results both run serially in
-// cell-expansion order, which is what makes the output byte-identical at
-// every -workers width and the hit counters exact.
+// par.MapLocal with one pooled bare Runner per worker and shape, and
+// each cell runs once: an anomalous cell derives its dump ids from that
+// run. Classification against the cache and the merge of shard results
+// both run serially in cell-expansion order, which is what makes the
+// output byte-identical at every -workers width and the hit counters
+// exact.
 func (e *Engine) Census(spec Spec, onCohort func(*CohortResult)) (*Result, error) {
 	cohorts, err := spec.resolve()
 	if err != nil {
@@ -346,7 +350,11 @@ func (e *Engine) Census(spec Spec, onCohort func(*CohortResult)) (*Result, error
 	return res, nil
 }
 
-// censusCohort runs one cohort batch: digest → classify → shard → merge.
+// censusCohort runs one cohort batch: digest → classify → simulate →
+// merge. Each phase runs under one pprof label, phase=census.<name>, set
+// once per cohort and inherited by the par workers the phase starts, so
+// `go tool pprof -tags` splits a census profile by phase. A label reads
+// no clock and changes no output.
 func (e *Engine) censusCohort(rc resolvedCohort, seen map[string]bool) *CohortResult {
 	// A cell's config digest is a pure function of its generator inputs,
 	// so the memo answers every cell it has seen. Generating a trace and
@@ -354,101 +362,109 @@ func (e *Engine) censusCohort(rc resolvedCohort, seen map[string]bool) *CohortRe
 	// memo lookups and records, and classification, which reads and
 	// counts against the shared cache, stay serial.
 	plans := make([]plan, len(rc.cells))
-	var miss []int // plan indices the memo has no digest for
-	for i, c := range rc.cells {
-		plans[i].cell = c
-		if d, ok := e.digests.m[c]; ok {
-			plans[i].digest = d
-		} else {
-			miss = append(miss, i)
+	phase("census.digest", func() {
+		var miss []int // plan indices the memo has no digest for
+		for i, c := range rc.cells {
+			plans[i].cell = c
+			if d, ok := e.digests.m[c]; ok {
+				plans[i].digest = d
+			} else {
+				miss = append(miss, i)
+			}
 		}
-	}
-	fresh := par.Map(len(miss), func(j int) plan {
-		p := plans[miss[j]]
-		p.cfg = p.cell.config()
-		p.digest = sim.ConfigDigest(p.cfg)
-		return p
+		fresh := par.Map(len(miss), func(j int) plan {
+			p := plans[miss[j]]
+			p.cfg = p.cell.config()
+			p.digest = sim.ConfigDigest(p.cfg)
+			return p
+		})
+		for j, i := range miss {
+			plans[i] = fresh[j]
+			e.digests.add(plans[i].cell, plans[i].digest)
+		}
 	})
-	for j, i := range miss {
-		plans[i] = fresh[j]
-		e.digests.add(plans[i].cell, plans[i].digest)
-	}
 
 	var need []int              // plan indices to simulate, in expansion order
 	pending := map[string]int{} // digest → index into need, for intra-batch duplicates
 	hits := 0
-	for i := range plans {
-		d := plans[i].digest
-		seen[d] = true
-		if out, ok := e.cache.m[d]; ok {
-			plans[i].out = out
-			hits++
-			continue
+	phase("census.classify", func() {
+		for i := range plans {
+			d := plans[i].digest
+			seen[d] = true
+			if out, ok := e.cache.m[d]; ok {
+				plans[i].out = out
+				hits++
+				continue
+			}
+			if _, ok := pending[d]; ok {
+				hits++
+				continue
+			}
+			pending[d] = len(need)
+			need = append(need, i)
 		}
-		if _, ok := pending[d]; ok {
-			hits++
-			continue
-		}
-		pending[d] = len(need)
-		need = append(need, i)
-	}
+	})
 
 	// Shard the unique uncached cells. Each worker goroutine lazily pools
 	// Runners per graph shape and swaps traces through RunTrace, so
 	// replica sweeps rebuild nothing (DESIGN.md §13, §14).
-	outs := par.MapLocal(len(need), newWorker, func(wk *worker, j int) *cellOutcome {
-		return wk.run(plans[need[j]])
+	var outs []*cellOutcome
+	phase("census.simulate", func() {
+		outs = par.MapLocal(len(need), newWorker, func(wk *worker, j int) *cellOutcome {
+			return wk.run(plans[need[j]])
+		})
 	})
 
 	// Serial merge, back in expansion order: publish fresh outcomes to
 	// the cache and resolve intra-batch duplicates.
-	for j, i := range need {
-		plans[i].out = outs[j]
-		e.cache.add(plans[i].digest, outs[j])
-	}
-	for i := range plans {
-		p := &plans[i]
-		if p.out == nil {
-			p.out = outs[pending[p.digest]]
+	var cr *CohortResult
+	phase("census.merge", func() {
+		for j, i := range need {
+			plans[i].out = outs[j]
+			e.cache.add(plans[i].digest, outs[j])
 		}
-		if len(p.out.dumpIDs) > 0 {
-			e.IndexDumps(p.digest, p.cell.config, p.out.dumpIDs)
+		for i := range plans {
+			p := &plans[i]
+			if p.out == nil {
+				p.out = outs[pending[p.digest]]
+			}
+			if len(p.out.dumpIDs) > 0 {
+				e.IndexDumps(p.digest, p.cell.config, p.out.dumpIDs)
+			}
 		}
-	}
-	return aggregate(rc.name, plans, len(need), hits)
+		cr = aggregate(rc.name, plans, len(need), hits)
+	})
+	return cr
 }
 
-// worker is one shard goroutine's private state.
+// phase runs fn under the pprof label phase=name.
+func phase(name string, fn func()) {
+	pprof.Do(context.TODO(), pprof.Labels("phase", name), func(context.Context) { fn() })
+}
+
+// worker is one shard goroutine's private state: one bare Runner per
+// graph shape, built on the shape's first cell.
 type worker struct {
-	pools map[shape]*pool
+	runners map[shape]*sim.Runner
 }
 
-func newWorker() *worker { return &worker{pools: map[shape]*pool{}} }
+func newWorker() *worker { return &worker{runners: map[shape]*sim.Runner{}} }
 
-// pool is one worker's Runners for one graph shape. Every cell runs on
-// the bare Runner. The flight half, a second Runner wired with its own
-// flight.Ring, re-runs only the anomalous cells, to learn their dump ids;
-// it is built on the shape's first anomalous cell, so a shape whose cells
-// are all clean never wires a ring, and clean cells pay nothing for it.
-type pool struct {
-	bare   *sim.Runner
-	flight *sim.Runner // nil until the shape's first anomalous cell
-	ring   *flight.Ring
-}
-
-// run simulates one cell on the worker's bare Runner for its shape, and
-// re-runs an anomalous cell on the shape's flight half. A cell the digest
-// memo answered carries no config; the worker builds it.
+// run simulates one cell on the worker's Runner for its shape. An
+// anomalous cell names its dumps from the same run: DumpIDs gives the
+// ids a flight ring on the run would take, under the cell's digest, as
+// AnomalyDump's replay names them. A cell the digest memo answered
+// carries no config; the worker builds it.
 func (wk *worker) run(p plan) *cellOutcome {
 	if p.cfg.Trace == nil {
 		p.cfg = p.cell.config()
 	}
-	pl, ok := wk.pools[p.cell.shape]
+	rn, ok := wk.runners[p.cell.shape]
 	if !ok {
-		pl = &pool{bare: sim.NewRunner(p.cfg)}
-		wk.pools[p.cell.shape] = pl
+		rn = sim.NewRunner(p.cfg)
+		wk.runners[p.cell.shape] = rn
 	}
-	res := pl.bare.RunTrace(p.cfg.Trace)
+	res := rn.RunTrace(p.cfg.Trace)
 	out := &cellOutcome{
 		fdps:      res.FDPS(),
 		janks:     len(res.Janks),
@@ -463,20 +479,11 @@ func (wk *worker) run(p plan) *cellOutcome {
 	for _, ms := range res.LatencyMs {
 		out.latency.Observe(ms)
 	}
+	// Only anomalous cells index dumps: a clean faulted cell's
+	// fault-onset dump stays unnamed, as census JSON pins.
 	if !out.completed || out.fallbacks > 0 || out.janks >= AnomalyJankThreshold {
 		out.anomalous = true
-		if pl.flight == nil {
-			pl.ring = flight.New(flight.Config{})
-			cfg := p.cfg
-			cfg.Recorder = pl.ring
-			pl.flight = sim.NewRunner(cfg)
-		}
-		// A ring changes nothing about a run (TestObserversLeaveRunUnchanged)
-		// and a reused Runner runs exactly as a fresh one, so the ring holds
-		// the dumps AnomalyDump's fresh replay triggers, and DumpIDs names
-		// them under the bare cell's digest as that replay does.
-		pl.flight.RunTrace(p.cfg.Trace)
-		out.dumpIDs = pl.ring.DumpIDs(p.digest)
+		out.dumpIDs = rn.DumpIDs(p.digest)
 	}
 	return out
 }
@@ -492,6 +499,9 @@ func aggregate(name string, plans []plan, simulated, hits int) *CohortResult {
 	janks := reg.Counter("fleet_janks_total", "repeated-frame edges across the cohort")
 	edges := reg.Counter("fleet_edges_total", "hardware refresh edges across the cohort")
 	incomplete := reg.Counter("fleet_cells_incomplete_total", "cells whose run hit the watchdog")
+	// The help string predates derived dump ids, when anomalous cells ran
+	// a second time under a ring. It is part of census JSON, which
+	// censusPins pins, so it stays byte-identical.
 	anom := reg.Counter("fleet_cells_anomalous_total", "cells re-run under the flight recorder")
 	anomDumps := reg.Counter("fleet_anomaly_dumps_total", "anomaly dumps captured across the cohort")
 	meanFDPS := reg.Gauge("fleet_fdps_mean", "mean per-cell FDPS of the cohort")

@@ -291,7 +291,7 @@ func TestOversizedCohortRejectedBeforeExpansion(t *testing.T) {
 // on a fresh engine, and warm on an engine that has already run it, where
 // every cell is a digest-memo and result-cache hit; and clean, a cold
 // census of DemoSpec's two LTPO cohorts at 20 replicas, 100 cells none of
-// which is anomalous, so only the bare pooled Runners run.
+// which is anomalous, so no cell derives dump ids.
 func BenchmarkCensus(b *testing.B) {
 	spec := DemoSpec(false)
 	run := func(b *testing.B, spec Spec, engine func() *Engine) *Result {

@@ -13,7 +13,6 @@ package flight
 
 import (
 	"fmt"
-	"strings"
 
 	"dvsync/internal/simtime"
 	"dvsync/internal/trace"
@@ -49,20 +48,6 @@ const (
 	// TriggerFaultOnset is an injected fault episode opening.
 	TriggerFaultOnset TriggerKind = "fault-onset"
 )
-
-// triggerIdx maps kinds to fixed array slots for cooldown bookkeeping.
-const (
-	idxWatchdog = iota
-	idxFallback
-	idxJankBurst
-	idxFaultOnset
-	numTriggers
-)
-
-// triggerKinds maps slots back to kinds, in slot order.
-var triggerKinds = [numTriggers]TriggerKind{
-	TriggerWatchdog, TriggerFallback, TriggerJankBurst, TriggerFaultOnset,
-}
 
 // Config parameterises a Ring. Zero values take the defaults above.
 type Config struct {
@@ -134,12 +119,7 @@ type Ring struct {
 	lastAt   simtime.Time
 	haveLast bool
 
-	jank     []simtime.Time // last JankBurst jank instants, circular
-	jankPos  int
-	jankSeen int
-
-	lastDump [numTriggers]simtime.Time
-	haveDump [numTriggers]bool
+	trig     Triggers
 	dumps    []Dump
 	preDumps int // dumps taken before a checkpoint cut (resume only)
 
@@ -153,7 +133,7 @@ func New(cfg Config) *Ring {
 		cfg:     cfg,
 		buf:     make([]trace.Event, cfg.Capacity),
 		scratch: make([]trace.Event, 0, cfg.Capacity),
-		jank:    make([]simtime.Time, cfg.JankBurst),
+		trig:    newTriggers(cfg),
 		dumps:   make([]Dump, 0, cfg.MaxDumps),
 		burstDetail: fmt.Sprintf("janks=%d window=%.0fms",
 			cfg.JankBurst, cfg.JankWindow.Milliseconds()),
@@ -187,49 +167,26 @@ func (r *Ring) Add(ev trace.Event) {
 		}
 	}
 
-	switch ev.Kind {
-	case trace.Jank:
-		r.jank[r.jankPos] = ev.At
-		r.jankPos++
-		if r.jankPos == len(r.jank) {
-			r.jankPos = 0
+	if kind, ok := r.trig.Observe(ev.Kind, ev.At, ev.Detail); ok {
+		detail := ev.Detail
+		if kind == TriggerJankBurst {
+			detail = r.burstDetail
 		}
-		if r.jankSeen < len(r.jank) {
-			r.jankSeen++
-		}
-		if r.jankSeen == len(r.jank) {
-			// After the advance, jankPos indexes the oldest of the last
-			// JankBurst janks.
-			if ev.At.Sub(r.jank[r.jankPos]) <= r.cfg.JankWindow {
-				r.maybeTrigger(idxJankBurst, ev.At, r.burstDetail)
-			}
-		}
-	case trace.Fallback:
-		if strings.HasPrefix(ev.Detail, "to=VSync") {
-			r.maybeTrigger(idxFallback, ev.At, ev.Detail)
-		}
-	case trace.FaultOnset:
-		r.maybeTrigger(idxFaultOnset, ev.At, ev.Detail)
+		r.snapshot(kind, ev.At, detail)
 	}
 }
 
 // TripWatchdog fires the watchdog trigger: the simulator calls it when
 // the engine's health watchdog aborts a run.
 func (r *Ring) TripWatchdog(at simtime.Time, detail string) {
-	r.maybeTrigger(idxWatchdog, at, detail)
+	if r.trig.Watchdog(at) {
+		r.snapshot(TriggerWatchdog, at, detail)
+	}
 }
 
-// maybeTrigger snapshots the retained window unless the per-kind cooldown
-// or the dump cap suppresses it. Runs only on anomalies, so it may
-// allocate.
-func (r *Ring) maybeTrigger(idx int, at simtime.Time, detail string) {
-	if r.preDumps+len(r.dumps) >= r.cfg.MaxDumps {
-		return
-	}
-	if r.haveDump[idx] && at.Sub(r.lastDump[idx]) < r.cfg.Cooldown {
-		return
-	}
-	r.lastDump[idx], r.haveDump[idx] = at, true
+// snapshot copies the retained window into a new dump. Runs only on
+// anomalies the trigger rules let through, so it may allocate.
+func (r *Ring) snapshot(kind TriggerKind, at simtime.Time, detail string) {
 	// Recycle the event buffer a previous run's dump left in this slot:
 	// Reset rewinds r.dumps to length 0 but keeps the backing array, so a
 	// reused Runner that triggers the same dumps every run reaches zero
@@ -241,7 +198,7 @@ func (r *Ring) maybeTrigger(idx int, at simtime.Time, detail string) {
 	events = append(events, r.window()...)
 	r.dumps = append(r.dumps, Dump{
 		SchemaVersion: trace.SchemaVersion,
-		Trigger:       Trigger{Kind: triggerKinds[idx], At: at, Detail: detail},
+		Trigger:       Trigger{Kind: kind, At: at, Detail: detail},
 		Events:        events,
 	})
 }
@@ -295,10 +252,7 @@ func (r *Ring) Reserve(int) {}
 func (r *Ring) Reset() {
 	r.head, r.size = 0, 0
 	r.haveLast, r.lastAt = false, 0
-	r.jankPos, r.jankSeen = 0, 0
-	for i := range r.lastDump {
-		r.lastDump[i], r.haveDump[i] = 0, false
-	}
+	r.trig.reset()
 	r.dumps = r.dumps[:0]
 	r.preDumps = 0
 }
@@ -368,25 +322,7 @@ func (r *Ring) CaptureState() *State {
 		HaveLast: r.haveLast,
 		Dumps:    r.preDumps + len(r.dumps),
 	}
-	if r.jankSeen > 0 {
-		st.Janks = make([]simtime.Time, 0, r.jankSeen)
-		start := r.jankPos - r.jankSeen
-		if start < 0 {
-			start += len(r.jank)
-		}
-		for i := 0; i < r.jankSeen; i++ {
-			j := start + i
-			if j >= len(r.jank) {
-				j -= len(r.jank)
-			}
-			st.Janks = append(st.Janks, r.jank[j])
-		}
-	}
-	for i := 0; i < numTriggers; i++ {
-		if r.haveDump[i] {
-			st.Cooldowns = append(st.Cooldowns, TriggerMark{Kind: triggerKinds[i], LastAt: r.lastDump[i]})
-		}
-	}
+	r.trig.capture(st)
 	return st
 }
 
@@ -400,8 +336,8 @@ func (r *Ring) RestoreState(st *State) error {
 	if len(st.Events) > len(r.buf) {
 		return fmt.Errorf("flight: state window %d exceeds ring capacity %d", len(st.Events), len(r.buf))
 	}
-	if len(st.Janks) > len(r.jank) {
-		return fmt.Errorf("flight: state jank window %d exceeds burst size %d", len(st.Janks), len(r.jank))
+	if len(st.Janks) > len(r.trig.jank) {
+		return fmt.Errorf("flight: state jank window %d exceeds burst size %d", len(st.Janks), len(r.trig.jank))
 	}
 	if st.Dumps < 0 || st.Dumps > r.cfg.MaxDumps {
 		return fmt.Errorf("flight: state dump count %d outside [0, %d]", st.Dumps, r.cfg.MaxDumps)
@@ -410,29 +346,8 @@ func (r *Ring) RestoreState(st *State) error {
 		return err
 	}
 	r.lastAt, r.haveLast = st.LastAt, st.HaveLast
-	for i, at := range st.Janks {
-		if i > 0 && at < st.Janks[i-1] {
-			return fmt.Errorf("flight: state janks out of order at %d", i)
-		}
-		r.jank[i] = at
-	}
-	r.jankSeen = len(st.Janks)
-	r.jankPos = r.jankSeen
-	if r.jankPos == len(r.jank) {
-		r.jankPos = 0
-	}
-	for _, cd := range st.Cooldowns {
-		idx := -1
-		for i, k := range triggerKinds {
-			if k == cd.Kind {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return fmt.Errorf("flight: state cooldown for unknown trigger %q", cd.Kind)
-		}
-		r.lastDump[idx], r.haveDump[idx] = cd.LastAt, true
+	if err := r.trig.restore(st); err != nil {
+		return err
 	}
 	r.preDumps = st.Dumps
 	return nil

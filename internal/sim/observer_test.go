@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"dvsync/internal/flight"
@@ -186,7 +187,8 @@ func watchdogConfig(mode Mode) Config {
 // telemetry registry or all three fires exactly the bare run's engine
 // events and returns the same result, and every latched frame is recorded
 // presenting exactly once — also when the horizon or the watchdog ends
-// the run.
+// the run. The dump ids the bare run derives are the ones the flight
+// ring takes.
 func TestObserversLeaveRunUnchanged(t *testing.T) {
 	type scenario struct {
 		name  string
@@ -234,6 +236,8 @@ func TestObserversLeaveRunUnchanged(t *testing.T) {
 			}
 			want := resultLine(res)
 			wantFired := sys.Engine().Fired()
+			const digest = "0123456789abcdef"
+			derived := sys.dumpIDs(digest)
 			for _, set := range sets {
 				cfg := bareOf(sc.mk)
 				set.apply(&cfg)
@@ -250,6 +254,13 @@ func TestObserversLeaveRunUnchanged(t *testing.T) {
 					events = r.Events()
 				case *teeSink:
 					events = r.Events()
+					if got := r.ring.DumpIDs(digest); !slices.Equal(derived, got) {
+						t.Errorf("%s: bare run derives dump ids %v, the ring took %v", set.name, derived, got)
+					}
+				case *flight.Ring:
+					if got := r.DumpIDs(digest); !slices.Equal(derived, got) {
+						t.Errorf("%s: bare run derives dump ids %v, the ring took %v", set.name, derived, got)
+					}
 				}
 				counts := map[int][2]int{} // frame → {latched, presented}
 				var frames []int

@@ -62,6 +62,14 @@ func (r *Runner) RunTrace(tr *workload.Trace) *Result {
 	return r.sys.Run()
 }
 
+// DumpIDs names, under digest, the anomaly dumps a default flight ring
+// (flight.New(flight.Config{})) would have taken on the last Run or
+// RunTrace: entry i is that ring's DumpIDs(digest)[i]. It needs no ring
+// attached — observers do not change a run, so the ids are the same with
+// or without sinks — and is defined after a straight Run or RunTrace, not
+// after segmented execution through System.
+func (r *Runner) DumpIDs(digest string) []string { return r.sys.dumpIDs(digest) }
+
 // Reset rewinds the graph without running, leaving the System ready for
 // segmented execution — checkpointing (RunCheckpointed, Snapshot) or
 // manual engine stepping through System().

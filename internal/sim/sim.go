@@ -6,6 +6,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dvsync/internal/buffer"
@@ -13,6 +14,7 @@ import (
 	"dvsync/internal/display"
 	"dvsync/internal/event"
 	"dvsync/internal/fault"
+	"dvsync/internal/flight"
 	"dvsync/internal/health"
 	"dvsync/internal/ltpo"
 	"dvsync/internal/metrics"
@@ -311,6 +313,11 @@ type System struct {
 	// first event of a later instant, earliest fence first: an LTPO
 	// retarget can make PresentAt non-monotone across consecutive latches.
 	presentPending []PresentState
+	// lastAt is the instant of the run's latest recorded event, present
+	// fences aside, kept with or without a sink for dumpIDs' tail rule.
+	// Each engine callback that records stores it once, before its first
+	// record site; every other site records at the same instant.
+	lastAt simtime.Time
 }
 
 // traceMark is one precomputed schema-v3 marker event awaiting emission.
@@ -441,6 +448,7 @@ func New(cfg Config) *System {
 	s.dist.Subscribe(signal.VSyncApp, s.onAppTick)
 
 	s.producer.OnUIDone = func(now simtime.Time, f *buffer.Frame) {
+		s.lastAt = now
 		if cfg.Recorder != nil {
 			s.record(trace.Event{At: now, Kind: trace.FrameUIDone, Frame: f.Seq,
 				Decoupled: f.Decoupled})
@@ -456,6 +464,7 @@ func New(cfg Config) *System {
 		if s.monitor != nil {
 			s.monitor.ObserveProgress(now)
 		}
+		s.lastAt = now
 		if cfg.Recorder != nil {
 			s.record(trace.Event{At: now, Kind: trace.FrameQueued, Frame: f.Seq,
 				Decoupled: f.Decoupled})
@@ -567,6 +576,69 @@ func (s *System) noteReAnchors(now simtime.Time) {
 	}
 }
 
+// dumpIDs names, under digest, the anomaly dumps a default flight ring
+// (flight.New(flight.Config{})) on the run just finished would have
+// taken, whether or not one was attached. It feeds flight.Triggers, the
+// rules the ring applies, the symptom events the ring would have
+// recorded, synthesised from the Result and merged in the order record()
+// emits them:
+//
+//   - a fault onset at T (marker events exist only with faults enabled)
+//     is emitted before any event at T, and only once an event at or
+//     after T is recorded: after the last recorded event, present
+//     fences included, it never reaches a ring. finish flushes every
+//     fence, and LTPO makes fences non-monotone, so the tail is their
+//     maximum, not the last one's;
+//   - a jank before a fallback at the same edge, since supervise runs
+//     after the jank; only a fallback to VSync counts, by its detail;
+//   - the watchdog last, at the engine's clock, after the flush.
+//
+// It is defined after a straight Run only: a resumed run lacks the
+// symptoms before its cut.
+func (s *System) dumpIDs(digest string) []string {
+	var onsets []simtime.Time
+	if s.inj != nil {
+		last := s.lastAt
+		for _, f := range s.res.Presented {
+			last = max(last, f.PresentAt)
+		}
+		for _, ref := range s.cfg.Faults.Episodes() {
+			if ref.Episode.Start <= last {
+				onsets = append(onsets, ref.Episode.Start)
+			}
+		}
+		slices.Sort(onsets)
+	}
+	trig := flight.NewTriggers(flight.Config{})
+	var ids []string
+	observe := func(kind trace.EventKind, at simtime.Time, detail string) {
+		if k, ok := trig.Observe(kind, at, detail); ok {
+			ids = append(ids, flight.DumpID(digest, len(ids), k))
+		}
+	}
+	janks, falls := s.res.Janks, s.res.Fallbacks
+	for len(onsets) > 0 || len(janks) > 0 || len(falls) > 0 {
+		// The earliest symptom next; at one instant an onset, then a
+		// jank, then a fallback.
+		switch {
+		case len(onsets) > 0 && (len(janks) == 0 || onsets[0] <= janks[0].At) &&
+			(len(falls) == 0 || onsets[0] <= falls[0].At):
+			observe(trace.FaultOnset, onsets[0], "")
+			onsets = onsets[1:]
+		case len(janks) > 0 && (len(falls) == 0 || janks[0].At <= falls[0].At):
+			observe(trace.Jank, janks[0].At, "")
+			janks = janks[1:]
+		default:
+			observe(trace.Fallback, falls[0].At, fallbackDetail[falls[0].To][falls[0].Reason])
+			falls = falls[1:]
+		}
+	}
+	if s.res.WatchdogTripped != "" && trig.Watchdog(s.engine.Now()) {
+		ids = append(ids, flight.DumpID(digest, len(ids), flight.TriggerWatchdog))
+	}
+	return ids
+}
+
 // watchdogTripper is the optional sink hook the flight recorder exposes:
 // finish() fires it when the engine watchdog aborted the run.
 type watchdogTripper interface {
@@ -635,6 +707,7 @@ func (s *System) supervise(now simtime.Time) {
 //
 //dvlint:hotpath runs at every skipped refresh under edge faults
 func (s *System) onMissedEdge(now simtime.Time, seq uint64, period simtime.Duration) {
+	s.lastAt = now
 	if s.cfg.Recorder != nil {
 		s.record(trace.Event{At: now, Kind: trace.EdgeMissed, Frame: -1, EdgeSeq: seq})
 	}
@@ -732,6 +805,7 @@ func (s *System) startFrame(now simtime.Time, req pipeline.StartRequest) bool {
 	if s.fpe != nil {
 		s.fpe.ObserveFrameCost(f.UICost+f.RSCost, s.res.Period)
 	}
+	s.lastAt = now
 	if s.cfg.Recorder != nil {
 		s.record(trace.Event{At: now, Kind: trace.FrameStart, Frame: f.Seq,
 			Decoupled: f.Decoupled, DTimestamp: f.DTimestamp})
@@ -843,6 +917,7 @@ func (s *System) streamDone() bool {
 //
 //dvlint:hotpath runs at every hardware VSync edge
 func (s *System) onEdge(now simtime.Time, seq uint64, period simtime.Duration) {
+	s.lastAt = now
 	if s.cfg.Recorder != nil {
 		s.record(trace.Event{At: now, Kind: trace.HWVSync, Frame: -1, EdgeSeq: seq,
 			Hz: simtime.HzForPeriod(period)})
@@ -1045,6 +1120,7 @@ func (s *System) reset(tr *workload.Trace) {
 	}
 	s.nextMark = 0
 	s.lastReAnchors = 0
+	s.lastAt = 0
 
 	// Re-prime the result exactly as New does, handing the previous run's
 	// slice capacity back to prepare for reuse.

@@ -29,12 +29,15 @@ var keepaliveInterval = 15 * time.Second
 const retryHintMs = 2000
 
 // sseWriter serialises SSE writes between a handler goroutine and its
-// keepalive ticker. Every frame (event, comment, hint) is written and
-// flushed under one mutex hold, so frames never interleave mid-line.
+// keepalive ticker. Every frame (event, comment, hint) is written under
+// one mutex hold, so frames never interleave mid-line. Events are not
+// flushed one by one: the retry hint and keepalive comments flush, and
+// handlers call flush where a client can act on what it has so far.
 type sseWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-	fl http.Flusher // nil when the ResponseWriter cannot flush
+	mu  sync.Mutex
+	w   io.Writer
+	fl  http.Flusher // nil when the ResponseWriter cannot flush
+	buf []byte       // sample frame encoding, reused
 }
 
 func newSSEWriter(w http.ResponseWriter) *sseWriter {
@@ -54,13 +57,32 @@ func (s *sseWriter) event(event string, payload any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", event, data)
+}
+
+// sample emits one `sample` event: the bytes event("sample",
+// TelemetryRow{...}) writes, encoded by append into the writer's reused
+// buffer, since rows are most of a stream. Non-finite values encode as
+// null, so a NaN column never drops its row.
+func (s *sseWriter) sample(row dvsync.TelemetrySample) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b := append(s.buf[:0], "event: sample\ndata: "...)
+	b = dvsync.TelemetryRow{AtNs: int64(row.At), Values: row.Values}.AppendJSON(b)
+	s.buf = append(b, "\n\n"...)
+	s.w.Write(s.buf)
+}
+
+// flush sends every frame written so far to the client.
+func (s *sseWriter) flush() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.fl != nil {
 		s.fl.Flush()
 	}
 }
 
 // comment emits one SSE comment line (ignored by clients, but it keeps
-// the connection warm through proxies and idle timeouts).
+// the connection warm through proxies and idle timeouts) and flushes it.
 func (s *sseWriter) comment(text string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -70,7 +92,8 @@ func (s *sseWriter) comment(text string) {
 	}
 }
 
-// retryHint emits the SSE `retry:` reconnect-delay hint.
+// retryHint emits the SSE `retry:` reconnect-delay hint and flushes it,
+// so a stream opens at once.
 func (s *sseWriter) retryHint(ms int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -63,11 +63,12 @@ func fleetHandler(eng *dvsync.FleetEngine) http.HandlerFunc {
 		defer stop()
 		res, err := eng.Census(spec, func(c *dvsync.FleetCohortResult) {
 			sw.event("cohort", c)
-			// Announce each anomalous cell's dumps as the cohort lands, so
-			// a client can fetch GET /anomalies/{id} mid-census.
+			// Announce each anomalous cell's dumps as the cohort lands, and
+			// flush, so a client can fetch GET /anomalies/{id} mid-census.
 			for _, id := range c.AnomalyDumps {
 				sw.event("anomaly", anomalyEvent{ID: id})
 			}
+			sw.flush()
 		})
 		if err != nil {
 			// Validation passed, so this is a mid-census failure: the

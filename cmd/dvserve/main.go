@@ -14,8 +14,9 @@
 //	GET /metrics     Prometheus text exposition of one scenario run
 //	GET /snapshot    JSON snapshot (schema: internal/telemetry.Snapshot)
 //	GET /stream      SSE: one columns event, a sample event per sampled
-//	                 row as the virtual clock advances, a final snapshot;
-//	                 a run that dies mid-stream ends with an error event
+//	                 row in virtual-time order, a final snapshot, then an
+//	                 anomaly event per dump the run would capture; a run
+//	                 that dies mid-stream ends with an error event
 //	POST /fleet      JSON census spec in, SSE out: one cohort event per
 //	                 cohort (followed by anomaly events naming its dumps),
 //	                 then a terminal fleet event (DESIGN.md §14)
@@ -34,10 +35,13 @@
 // faulted server can still serve clean runs.
 // Invalid parameters are an HTTP 400 with a JSON {"error": ...} body.
 // Runs are deterministic: identical parameters produce byte-identical
-// /metrics and /snapshot bodies on every scrape, so diffs between
-// scrapes are parameter changes, never noise.
+// /metrics, /snapshot and /stream bodies on every request, so diffs
+// between scrapes are parameter changes, never noise. The server runs a
+// parameter set once and keeps the finished run for the newest 16 sets:
+// repeat requests encode it and simulate nothing.
 //
-// With -checkpoint-dir, runs are periodically checkpointed and a run
+// With -checkpoint-dir, every request runs its scenario, periodically
+// checkpointed, and /stream writes each row as the run samples it; a run
 // interrupted by a crash resumes from its last good checkpoint on the
 // next identical request — determinism makes the recovered exports
 // byte-identical to an uninterrupted run's.

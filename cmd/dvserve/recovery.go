@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"dvsync"
 	"dvsync/internal/checkpoint"
@@ -25,12 +26,16 @@ type runner struct {
 	// scenario would otherwise race on the same snapshot slot.
 	mu sync.Mutex
 
-	// cmu guards the reusable run-context cache (serve/entry); cache maps
-	// a scenario parameter set to its wired Runner and order tracks FIFO
-	// eviction age.
+	// cmu guards the finished-run cache (serve/entry); cache maps a
+	// scenario parameter set to its entry and order tracks FIFO eviction
+	// age.
 	cmu   sync.Mutex
 	cache map[scenarioKey]*runEntry
 	order []scenarioKey
+
+	// runs counts the scenario simulations the cache has run: one per
+	// miss, none per hit.
+	runs atomic.Int64
 
 	// eng is the server's fleet engine (newServer sets it). Cached
 	// scenario runs register their flight-recorder dump ids in its dump

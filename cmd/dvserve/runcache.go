@@ -4,13 +4,12 @@ import (
 	"sync"
 
 	"dvsync"
-	"dvsync/internal/simtime"
 )
 
-// runnerCacheSize bounds how many distinct parameter sets keep a wired
-// run context alive. Past the bound the oldest entry is evicted FIFO —
-// a scrape fleet cycling through more scenarios than this just rebuilds
-// graphs as it did before the cache existed.
+// runnerCacheSize bounds how many distinct parameter sets keep a finished
+// run. Past the bound the oldest entry is evicted FIFO — a scrape fleet
+// cycling through more scenarios than this just runs each request as it
+// did before the cache existed.
 const runnerCacheSize = 16
 
 // scenarioKey identifies one scenario parameter set: every field of
@@ -31,20 +30,22 @@ func (p params) key() scenarioKey {
 		frames: p.frames, seed: p.seed, fault: p.fault, severity: p.severity}
 }
 
-// runEntry is one cached scenario context: a wired sim.Runner with its
-// registry. The entry lock serialises runs on the shared graph; handlers
-// finish exporting from the registry before the lock releases.
+// runEntry is one cached scenario: its finished run's telemetry
+// registry, anomaly-dump ids and the config digest naming them. A miss
+// runs the scenario once and publishes the three fields; every later
+// request for the key encodes them. Published fields are never written
+// again, so requests read them after releasing the lock.
 type runEntry struct {
 	mu     sync.Mutex
-	rn     *dvsync.Runner
 	reg    *dvsync.TelemetryRegistry
+	ids    []string
 	digest string // config digest naming and sealing the entry's dumps
 }
 
-// entry returns the cached run context for p's parameter set, creating
-// it — and evicting the oldest entry past the cache bound — on a miss.
-// An evicted entry mid-request stays alive through its reference; only
-// future requests rebuild it.
+// entry returns the cache entry for p's parameter set, creating it — and
+// evicting the oldest entry past the cache bound — on a miss. An evicted
+// entry mid-request stays alive through its reference; only future
+// requests run the scenario again.
 func (rn *runner) entry(p params) *runEntry {
 	k := p.key()
 	rn.cmu.Lock()
@@ -70,64 +71,74 @@ func (rn *runner) entry(p params) *runEntry {
 	return e
 }
 
-// serve executes p's scenario and hands the attached registry to emit
-// while the run context is locked. onSample, when non-nil, observes every
-// sampled row as the virtual clock advances (the SSE stream path).
+// digestRing is the default flight ring scenario digests name. The
+// digest records a ring's presence and parameters (ConfigDigest reads
+// only Config), so one ring, built once and never run, serves every
+// entry.
+var digestRing = dvsync.NewFlightRecorder(dvsync.FlightConfig{})
+
+// serve returns p's finished run: its telemetry registry and the ids of
+// the anomaly dumps a flight recorder on the run would take. The
+// registry is read-only; handlers encode it after serve returns.
+// onSample, when non-nil, sees every sampled row in virtual-time order
+// before serve returns (the SSE stream's rows).
 //
-// Without a checkpoint directory the scenario runs on a cached Runner:
-// one wired simulation graph per distinct parameter set, rewound per
-// request instead of rebuilt. The registry is part of the cached wiring,
-// so handlers serialise their export inside emit and never retain the
-// registry past it. Checkpointed runs keep the uncached path — their
-// graphs are rebuilt or resumed from snapshots by design, and reuse
-// would fight the resume machinery for the same state.
-// serve also returns the run's anomaly-dump ids (always empty on the
-// checkpointed path): the SSE handlers announce them as `anomaly`
-// events. The Runner carries no flight recorder; DumpIDs derives the ids
-// a default ring on the run would take. The ids go into the fleet
-// engine's dump index with a replay of p, so GET /anomalies/{id} seals
-// each dump on fetch by replaying p under a ring, and the server keeps
-// no dump bytes. The replay attaches no registry: observers do not
-// change a run, so it triggers the same dumps.
+// Without a checkpoint directory the scenario's finished run is cached:
+// the first request for a parameter set runs it once (load), and every
+// request — that one included — hands onSample the stored rows after the
+// entry lock is released, so a slow client never holds up the others.
+// The bodies are those of a fresh run: the run is a pure function of p.
+// Each request indexes the ids in the fleet engine's dump index with a
+// replay of p, so GET /anomalies/{id} seals each dump on fetch by
+// replaying p under a ring, the server keeps no dump bytes, and ids the
+// index evicted come back on the next request. The replay attaches no
+// registry: observers do not change a run, so it triggers the same
+// dumps.
 //
-// Scenario dumps are named and sealed under the digest of the config
-// with the registry and a default ring attached, as when the cached
-// Runner carried the ring: the digest records the sinks' presence and
-// the ring's parameters, so the ring is built for the digest alone, once
-// per entry, and never runs.
+// Checkpointed runs keep the uncached path and onSample observes each row
+// live as the run samples it: their runs resume mid-way from snapshots
+// by design, so a resumed run hands onSample only the rows after the
+// resume point. They return no dump ids.
 func (rn *runner) serve(p params,
-	onSample func(*dvsync.TelemetryRegistry, dvsync.TelemetrySample),
-	emit func(*dvsync.TelemetryRegistry)) (simtime.Time, []string, error) {
+	onSample func(*dvsync.TelemetryRegistry, dvsync.TelemetrySample)) (*dvsync.TelemetryRegistry, []string, error) {
 	if rn.dir != "" {
 		reg := dvsync.NewTelemetryRegistry()
 		if onSample != nil {
 			reg.OnSample(func(row dvsync.TelemetrySample) { onSample(reg, row) })
 		}
-		resumedFrom, err := rn.run(p, reg)
-		if err != nil {
-			return resumedFrom, nil, err
-		}
-		emit(reg)
-		return resumedFrom, nil, nil
+		_, err := rn.run(p, reg)
+		return reg, nil, err
 	}
-	e := rn.entry(p)
+	reg, ids, digest := rn.load(rn.entry(p), p)
+	rn.eng.IndexDumps(digest, func() dvsync.Config { return p.config(nil) }, ids)
+	if onSample != nil {
+		for _, row := range reg.Series().Rows {
+			onSample(reg, row)
+		}
+	}
+	return reg, ids, nil
+}
+
+// load returns e's finished run, running p first if no request has yet.
+// The run's Runner carries no OnSample hook and no flight recorder:
+// DumpIDs derives the ids a default ring on the run would take, named
+// under the digest of the config with the registry and a default ring
+// attached — the names TestScenarioDumpBytesPinned pins. The fields are
+// published only after the run returns, so a run that panics leaves the
+// entry empty and the next request retries; the Runner is dropped.
+func (rn *runner) load(e *runEntry, p params) (*dvsync.TelemetryRegistry, []string, string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.rn == nil {
-		e.reg = dvsync.NewTelemetryRegistry()
-		cfg := p.config(e.reg)
-		e.rn = dvsync.NewRunner(cfg)
-		cfg.Recorder = dvsync.NewFlightRecorder(dvsync.FlightConfig{})
-		e.digest = dvsync.ConfigDigest(cfg)
+	if e.reg == nil {
+		reg := dvsync.NewTelemetryRegistry()
+		cfg := p.config(reg)
+		r := dvsync.NewRunner(cfg)
+		r.Run()
+		rn.runs.Add(1)
+		cfg.Recorder = digestRing
+		digest := dvsync.ConfigDigest(cfg)
+		ids := r.DumpIDs(digest)
+		e.reg, e.ids, e.digest = reg, ids, digest
 	}
-	if onSample != nil {
-		reg := e.reg
-		reg.OnSample(func(row dvsync.TelemetrySample) { onSample(reg, row) })
-		defer reg.OnSample(nil)
-	}
-	e.rn.Run()
-	ids := e.rn.DumpIDs(e.digest)
-	rn.eng.IndexDumps(e.digest, func() dvsync.Config { return p.config(nil) }, ids)
-	emit(e.reg)
-	return 0, ids, nil
+	return e.reg, e.ids, e.digest
 }

@@ -192,26 +192,26 @@ func newServer(def params, rn *runner) http.Handler {
 		if !ok {
 			return
 		}
-		_, _, err := rn.serve(p, nil, func(reg *dvsync.TelemetryRegistry) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			reg.WritePrometheus(w) //dvlint:ignore errflow write error to the ResponseWriter means the client went away; a handler has nowhere to propagate it
-		})
+		reg, _, err := rn.serve(p, nil)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "dvserve: "+err.Error())
+			return
 		}
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		reg.WritePrometheus(w) //dvlint:ignore errflow write error to the ResponseWriter means the client went away; a handler has nowhere to propagate it
 	})
 	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		p, ok := requestParams(w, r, def)
 		if !ok {
 			return
 		}
-		_, _, err := rn.serve(p, nil, func(reg *dvsync.TelemetryRegistry) {
-			w.Header().Set("Content-Type", "application/json")
-			reg.WriteJSON(w) //dvlint:ignore errflow write error to the ResponseWriter means the client went away; a handler has nowhere to propagate it
-		})
+		reg, _, err := rn.serve(p, nil)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "dvserve: "+err.Error())
+			return
 		}
+		w.Header().Set("Content-Type", "application/json")
+		reg.WriteJSON(w) //dvlint:ignore errflow write error to the ResponseWriter means the client went away; a handler has nowhere to propagate it
 	})
 	mux.HandleFunc("/stream", streamHandler(def, rn))
 	eng := dvsync.NewFleetEngine()
@@ -253,21 +253,24 @@ type errorEvent struct {
 	Error string `json:"error"`
 }
 
-// streamHandler runs the scenario synchronously inside the request
-// handler and emits one SSE event per sampled row as the virtual clock
-// advances — the stream is the run itself, not a poll of finished state.
-// Event order per stream: one `columns` event naming the series columns,
-// `sample` events in virtual-time order, and a final `snapshot` event
-// carrying the full export. When crash recovery resumes a run, samples
-// before the resume point are restored straight into the registry — the
-// stream then carries only post-resume rows, but the final snapshot is
+// streamHandler serves one scenario run as SSE. Event order per stream:
+// one `columns` event naming the series columns, one `sample` event per
+// sampled row in virtual-time order, a final `snapshot` event carrying
+// the full export, then one `anomaly` event per dump a flight recorder on
+// the run would take, naming the ids GET /anomalies/{id} serves. A cached
+// scenario's rows are the stored rows of its one finished run — the rows
+// the run sampled, so the bytes are those of a live stream of it. With
+// -checkpoint-dir the run executes inside the request and each row is
+// written as it is sampled; when crash recovery resumes a run, samples
+// before the resume point are restored straight into the registry, so
+// the stream carries only post-resume rows, but the final snapshot is
 // complete and byte-identical to an uninterrupted run's.
-// Each stream opens with a `retry:` reconnect hint, and a host-time
-// keepalive ticker interleaves `: keepalive` comments whenever the run
-// computes for longer than keepaliveInterval, so proxies and idle
-// timeouts never cut a slow stream. After the snapshot, one `anomaly`
-// event per dump a flight recorder on the run would take names the ids
-// GET /anomalies/{id} serves.
+// Each stream opens with a `retry:` reconnect hint, flushed at once, and
+// a host-time keepalive ticker flushes a `: keepalive` comment whenever
+// the request runs for longer than keepaliveInterval, so proxies and idle
+// timeouts never cut a slow stream. Rows are not flushed one by one: they
+// ride the response buffer, and the rest goes out when the handler
+// returns.
 func streamHandler(def params, rn *runner) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		p, ok := requestParams(w, r, def)
@@ -281,16 +284,12 @@ func streamHandler(def params, rn *runner) http.HandlerFunc {
 		stop := sw.startKeepalive(keepaliveInterval)
 		defer stop()
 		sentColumns := false
-		_, ids, err := rn.serve(p, func(reg *dvsync.TelemetryRegistry, row dvsync.TelemetrySample) {
+		reg, ids, err := rn.serve(p, func(reg *dvsync.TelemetryRegistry, row dvsync.TelemetrySample) {
 			if !sentColumns {
 				sw.event("columns", reg.Series().Columns)
 				sentColumns = true
 			}
-			// TelemetryRow's JSON encoding renders non-finite values as
-			// null — a NaN sample must not silently drop the whole row.
-			sw.event("sample", dvsync.TelemetryRow{AtNs: int64(row.At), Values: row.Values})
-		}, func(reg *dvsync.TelemetryRegistry) {
-			sw.event("snapshot", reg.Snapshot())
+			sw.sample(row)
 		})
 		if err != nil {
 			// The stream is already flowing (the retry hint opened it): the
@@ -300,6 +299,7 @@ func streamHandler(def params, rn *runner) http.HandlerFunc {
 			sw.event("error", errorEvent{Error: "dvserve: " + err.Error()})
 			return
 		}
+		sw.event("snapshot", reg.Snapshot())
 		for _, id := range ids {
 			sw.event("anomaly", anomalyEvent{ID: id})
 		}

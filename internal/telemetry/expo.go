@@ -76,37 +76,55 @@ func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // rejects wholesale — encode as null. Percentiles over empty sample sets
 // are legitimately NaN (metrics.Percentile), and one undefined column
 // must not make a whole row or snapshot vanish from an export.
-func jsonFloat(v float64) json.RawMessage {
+func jsonFloat(v float64) json.RawMessage { return appendJSONFloat(nil, v) }
+
+// appendJSONFloat appends jsonFloat(v) to b without reflection. Finite
+// values follow encoding/json's float64 rule exactly: the shortest
+// round-trip digits in 'f' form, or in 'e' form when |v| < 1e-6 or
+// |v| >= 1e21, with a one-digit negative exponent unpadded (e-7, not
+// e-07). TestAppendJSONFloatMatchesMarshal and FuzzJSONFloat hold it to
+// json.Marshal byte for byte.
+func appendJSONFloat(b []byte, v float64) []byte {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return json.RawMessage("null")
+		return append(b, "null"...)
 	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err) // unreachable: finite floats always marshal
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
 	}
 	return b
 }
 
-// MarshalJSON encodes the row with non-finite values as null, keeping the
-// byte-exact encoding of the reflection path for finite values.
-func (r RowSnapshot) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 16+12*len(r.Values))
+// AppendJSON appends the row's JSON encoding to b: non-finite values as
+// null, finite ones byte-identical to the reflection path. Streams encode
+// their sample rows through it into a reused buffer.
+func (r RowSnapshot) AppendJSON(b []byte) []byte {
 	b = append(b, `{"at_ns":`...)
 	b = strconv.AppendInt(b, r.AtNs, 10)
 	b = append(b, `,"values":`...)
 	if r.Values == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, v := range r.Values {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, jsonFloat(v)...)
-		}
-		b = append(b, ']')
+		return append(b, "null}"...)
 	}
-	return append(b, '}'), nil
+	b = append(b, '[')
+	for i, v := range r.Values {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONFloat(b, v)
+	}
+	return append(b, "]}"...)
+}
+
+// MarshalJSON encodes the row as AppendJSON does.
+func (r RowSnapshot) MarshalJSON() ([]byte, error) {
+	return r.AppendJSON(make([]byte, 0, 16+12*len(r.Values))), nil
 }
 
 // MarshalJSON encodes the metric with non-finite values as null; field

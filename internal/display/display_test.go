@@ -202,3 +202,24 @@ func TestInvalidConfigPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestZeroJitterPanelSeedsNoSource: a panel without jitter never draws
+// from its stream, and streams build their math/rand source on the first
+// draw, so wiring and running such a panel seeds none — one allocation
+// fewer than a panel whose stream has drawn.
+func TestZeroJitterPanelSeedsNoSource(t *testing.T) {
+	e := event.NewEngine()
+	cfg := Config{Name: "t", RefreshHz: 60}
+	quiet := testing.AllocsPerRun(20, func() { NewPanel(e, cfg) })
+	drawn := testing.AllocsPerRun(20, func() { NewPanel(e, cfg).rng.NormFloat64() })
+	if quiet != drawn-1 {
+		t.Errorf("NewPanel allocates %v, %v once its stream draws: want exactly one fewer", quiet, drawn)
+	}
+	p := NewPanel(e, cfg)
+	p.Start(0)
+	e.Run(simtime.Time(simtime.FromMillis(100)))
+	if p.Edges() == 0 || p.rng.Draws() != 0 {
+		t.Errorf("zero-jitter panel fired %d edges and drew %d values, want edges and no draw",
+			p.Edges(), p.rng.Draws())
+	}
+}

@@ -16,6 +16,13 @@ import (
 
 // RNG wraps math/rand with an explicit seed so every simulation is
 // reproducible and independent streams can be split deterministically.
+//
+// A stream is cheap until it draws: New and Reseed only record the seed,
+// and the first draw builds (New) or reseeds (Reseed) the 607-word
+// math/rand source. A stream that never draws — a panel with no jitter, a
+// rewound fault stream in a run without faults — never seeds one. A
+// caller that generates many traces keeps one RNG and rewinds it with
+// Reseed, so only the first of them allocates a source.
 type RNG struct {
 	r    *rand.Rand
 	src  *countingSource
@@ -29,12 +36,12 @@ type RNG struct {
 // exactly as it does for the plain rand.NewSource it wraps, keeping output
 // byte-identical to the uncounted stream.
 //
-// A reseed is deferred: seeding the wrapped source recomputes its whole
-// 607-word state, far more work than a draw, and reused runs rewind streams
-// that often never draw. The recorded seed is applied by the first Int63,
-// which every draw reaches.
+// Seeding is deferred: seeding the wrapped source recomputes its whole
+// 607-word state, far more work than a draw, and many streams never draw.
+// The recorded seed is applied by the first Int63, which every draw
+// reaches; that draw also builds the source if the stream has none yet.
 type countingSource struct {
-	src     rand.Source
+	src     rand.Source // nil until the first draw
 	n       uint64
 	seed    int64
 	pending bool // seed recorded but not yet applied to src
@@ -42,7 +49,11 @@ type countingSource struct {
 
 func (c *countingSource) Int63() int64 {
 	if c.pending {
-		c.src.Seed(c.seed)
+		if c.src == nil {
+			c.src = rand.NewSource(c.seed)
+		} else {
+			c.src.Seed(c.seed)
+		}
 		c.pending = false
 	}
 	c.n++
@@ -50,14 +61,15 @@ func (c *countingSource) Int63() int64 {
 }
 
 func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
+	c.seed = seed
 	c.n = 0
-	c.pending = false
+	c.pending = true
 }
 
-// New returns a deterministic RNG for the given seed.
+// New returns a deterministic RNG for the given seed. It seeds nothing
+// until the first draw.
 func New(seed int64) *RNG {
-	src := &countingSource{src: rand.NewSource(seed)}
+	src := &countingSource{seed: seed, pending: true}
 	return &RNG{r: rand.New(src), src: src, seed: seed}
 }
 
@@ -82,9 +94,7 @@ func (g *RNG) Seed() int64 { return g.seed }
 // buffer, which no method here uses.
 func (g *RNG) Reseed(seed int64) {
 	g.seed = seed
-	g.src.seed = seed
-	g.src.n = 0
-	g.src.pending = true
+	g.src.Seed(seed)
 }
 
 // Draws returns how many base-source values the stream has consumed.
@@ -106,6 +116,51 @@ func (g *RNG) Split(label string) *RNG {
 		h *= 1099511628211
 	}
 	return New(h ^ g.r.Int63())
+}
+
+// SplitSeed returns New(seed).Split(label).Seed(), the seed of a fresh
+// stream's child, without seeding the parent: Split draws one Int63 from
+// a 607-word source built only for that draw, and that first draw has a
+// closed form.
+//
+// math/rand seeds its source from the Park–Miller sequence
+// x_k = 48271^k · x_0 mod (2^31−1), where x_0 is the seed reduced into
+// [1, 2^31−2], and sets word i to
+// x_{21+3i}<<40 ^ x_{22+3i}<<20 ^ x_{23+3i} ^ rngCooked[i]. Its first draw
+// adds words 333 and 606 and masks off the sign bit. So the draw needs six
+// powers of 48271 and those two words of math/rand's rngCooked table
+// (BSD licence, The Go Authors); FuzzSplitSeed and the tests beside it
+// hold it to the real source.
+func SplitSeed(seed int64, label string) int64 {
+	h := int64(1469598103934665603) // FNV-1a offset basis, as in Split
+	for _, c := range label {
+		h ^= int64(c)
+		h *= 1099511628211
+	}
+	return h ^ firstInt63(seed)
+}
+
+// firstInt63 is the first Int63 of rand.NewSource(seed).
+func firstInt63(seed int64) int64 {
+	const (
+		mod       = 1<<31 - 1
+		cooked333 = -4633371852008891965
+		cooked606 = 4152330101494654406
+	)
+	// 48271^k mod (2^31−1) for k = 1020, 1021, 1022 (word 333) and
+	// 1839, 1840, 1841 (word 606).
+	pow := [6]uint64{2082024995, 1341337692, 1079773482, 933195560, 665897288, 2140244399}
+	s := seed % mod
+	if s < 0 {
+		s += mod
+	}
+	if s == 0 {
+		s = 89482311 // math/rand's stand-in for a zero seed
+	}
+	x := uint64(s)
+	w333 := int64(pow[0]*x%mod<<40^pow[1]*x%mod<<20^pow[2]*x%mod) ^ cooked333
+	w606 := int64(pow[3]*x%mod<<40^pow[4]*x%mod<<20^pow[5]*x%mod) ^ cooked606
+	return (w333 + w606) & (1<<63 - 1)
 }
 
 // Float64 returns a uniform value in [0, 1).

@@ -243,12 +243,25 @@ func sameDraws(t *testing.T, what string, got, want []float64) {
 // TestReseedMatchesNew: a Reseed is deferred to the first draw, yet every
 // entry point sees exactly the stream New would give, and Draws — the
 // checkpointed stream position — reads 0 right after Reseed whether or
-// not the stream had drawn before.
+// not the stream had drawn before. New defers its seeding the same way,
+// so a stream that never drew — still without a source — reads the same
+// Draws and Seed and is rewound by Reseed like any other.
 func TestReseedMatchesNew(t *testing.T) {
 	const seed = 20260417
 	for _, d := range reseedDraws {
 		fresh := New(seed)
+		if fresh.Draws() != 0 || fresh.Seed() != seed {
+			t.Fatalf("%s: undrawn New(%d) reads Draws %d, Seed %d", d.name, seed, fresh.Draws(), fresh.Seed())
+		}
 		want := d.draw(fresh)
+
+		undrawn := New(7)
+		undrawn.Reseed(seed)
+		if undrawn.Draws() != 0 || undrawn.Seed() != seed {
+			t.Fatalf("%s: Reseed of an undrawn stream reads Draws %d, Seed %d",
+				d.name, undrawn.Draws(), undrawn.Seed())
+		}
+		sameDraws(t, d.name+" after Reseed of an undrawn stream", d.draw(undrawn), want)
 
 		used := New(7)
 		used.Float64()
@@ -288,8 +301,97 @@ func TestReseedThenSkipMatchesNewAt(t *testing.T) {
 		if g.Draws() != n || at.Draws() != n {
 			t.Fatalf("Skip(%d): Draws() = %d, NewAt %d", n, g.Draws(), at.Draws())
 		}
+		// A stream New built and never drew skips from its seed too,
+		// before and after a Reseed.
+		undrawn := New(11)
+		undrawn.Skip(n)
+		rewound := New(3)
+		rewound.Reseed(11)
+		rewound.Skip(n)
+		if undrawn.Draws() != n || rewound.Draws() != n {
+			t.Fatalf("Skip(%d) of an undrawn stream: Draws() = %d, after Reseed %d",
+				n, undrawn.Draws(), rewound.Draws())
+		}
+		want := []float64{at.Float64(), at.NormFloat64(), float64(at.Intn(100))}
 		sameDraws(t, "Reseed+Skip vs NewAt",
-			[]float64{g.Float64(), g.NormFloat64(), float64(g.Intn(100))},
-			[]float64{at.Float64(), at.NormFloat64(), float64(at.Intn(100))})
+			[]float64{g.Float64(), g.NormFloat64(), float64(g.Intn(100))}, want)
+		sameDraws(t, "undrawn New+Skip vs NewAt",
+			[]float64{undrawn.Float64(), undrawn.NormFloat64(), float64(undrawn.Intn(100))}, want)
+		sameDraws(t, "undrawn Reseed+Skip vs NewAt",
+			[]float64{rewound.Float64(), rewound.NormFloat64(), float64(rewound.Intn(100))}, want)
 	}
+}
+
+// sink keeps the streams TestNewSeedsNothingUntilDrawn builds on the heap,
+// as every stream a simulation keeps is.
+var sink *RNG
+
+// TestNewSeedsNothingUntilDrawn: New and Reseed only record a seed; the
+// 607-word source is built by the first draw, so a stream that never
+// draws costs one allocation fewer than one that does, and a rewound
+// stream that draws again allocates nothing.
+func TestNewSeedsNothingUntilDrawn(t *testing.T) {
+	undrawn := testing.AllocsPerRun(20, func() { sink = New(5) })
+	drawn := testing.AllocsPerRun(20, func() { sink = New(5); sink.Float64() })
+	if drawn != undrawn+1 {
+		t.Errorf("New allocates %v, New plus a draw %v: want exactly one more for the source", undrawn, drawn)
+	}
+	g := New(5)
+	g.Float64()
+	if n := testing.AllocsPerRun(20, func() { g.Reseed(6); g.Float64() }); n != 0 {
+		t.Errorf("Reseed plus a draw allocates %v, want 0", n)
+	}
+}
+
+// splitSeedEdges are seeds where math/rand's seed reduction branches: 0
+// and the multiples of 2³¹−1 all stand in as 89482311, negative seeds are
+// lifted by the modulus, and the int64 extremes test its wrap-around.
+var splitSeedEdges = []int64{
+	0, 1, -1, 89482311, -89482311,
+	1<<31 - 1, -(1<<31 - 1), 2 * (1<<31 - 1), -2 * (1<<31 - 1),
+	(1<<31 - 1) * (1<<31 - 1), -(1<<31 - 1) * (1<<31 - 1),
+	1<<31 - 2, 1 << 31, -(1 << 31),
+	math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1,
+}
+
+// splitSeedLabels include non-ASCII labels: Split hashes runes, not
+// bytes, so "é" must not hash as its two UTF-8 bytes.
+var splitSeedLabels = []string{"", "a", "fault.jitter", "QQMusic", "é", "日本語", "naïve-\u00e9", "\xff\xfe", "🎞 frame"}
+
+// TestSplitSeedClosedForm holds the closed-form first draw to the real
+// math/rand source: SplitSeed must equal the seed of the child a freshly
+// seeded stream splits off, at the reduction's edge seeds, at 100 000
+// seeded random seeds and for non-ASCII labels.
+func TestSplitSeedClosedForm(t *testing.T) {
+	check := func(seed int64, label string) {
+		t.Helper()
+		if got, want := SplitSeed(seed, label), New(seed).Split(label).Seed(); got != want {
+			t.Fatalf("SplitSeed(%d, %q) = %d, New(seed).Split(label).Seed() = %d", seed, label, got, want)
+		}
+	}
+	for _, seed := range splitSeedEdges {
+		for _, label := range splitSeedLabels {
+			check(seed, label)
+		}
+	}
+	r := New(20261018)
+	for i := 0; i < 100000; i++ {
+		seed := int64(r.Float64()*(1<<63)) ^ int64(r.Intn(1<<31))<<32
+		if i%2 == 1 {
+			seed = -seed
+		}
+		check(seed, splitSeedLabels[i%len(splitSeedLabels)])
+	}
+}
+
+// FuzzSplitSeed checks the closed form at fuzzer-chosen seeds and labels.
+func FuzzSplitSeed(f *testing.F) {
+	for i, seed := range splitSeedEdges {
+		f.Add(seed, splitSeedLabels[i%len(splitSeedLabels)])
+	}
+	f.Fuzz(func(t *testing.T, seed int64, label string) {
+		if got, want := SplitSeed(seed, label), New(seed).Split(label).Seed(); got != want {
+			t.Fatalf("SplitSeed(%d, %q) = %d, New(seed).Split(label).Seed() = %d", seed, label, got, want)
+		}
+	})
 }

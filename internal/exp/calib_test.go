@@ -2,8 +2,11 @@ package exp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"dvsync/internal/metrics"
+	"dvsync/internal/par"
 	"dvsync/internal/scenarios"
 	"dvsync/internal/workload"
 )
@@ -111,5 +114,72 @@ func TestCalibrationMatchesReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// referenceStutters is the stutter search with no reuse at all: every
+// probe regenerates every scene, joins them with workload.Concat and runs
+// a fresh VSyncRun.
+func referenceStutters(task scenarios.UXTask, dev scenarios.Device) *workload.Trace {
+	cfg := metrics.DefaultStutterConfig()
+	gen := func(ratio float64) *workload.Trace {
+		p := scenarios.BaseProfile(task.Name, dev, task.Tail, workload.Deterministic)
+		p.LongRatio = ratio
+		var scenes []*workload.Trace
+		for i := 0; i < task.Scenes; i++ {
+			scenes = append(scenes, p.Generate(task.SceneFrames, Seed+int64(i)*7919))
+		}
+		return workload.Concat(task.Name, scenes...)
+	}
+	measure := func(ratio float64) float64 {
+		return float64(metrics.CountStutters(VSyncRun(gen(ratio), dev, dev.Buffers).JankEvents(), cfg))
+	}
+	return gen(bisect(measure, float64(task.PaperVSyncStutters), 0.001, 0.30))
+}
+
+// TestStutterCalibrationMatchesReference requires the stutter search, which
+// runs every probe on one Runner and regenerates only the scenes a probe's
+// ratio changes, to return for every Table 2 task the trace the no-reuse
+// reference search returns, cost for cost. The searches fan out over the
+// tasks as Table2 does, at one worker and at four.
+func TestStutterCalibrationMatchesReference(t *testing.T) {
+	dev := scenarios.Mate60Pro
+	tasks := scenarios.UXTasks()
+	want := make([]*workload.Trace, len(tasks))
+	for i, task := range tasks {
+		want[i] = referenceStutters(task, dev)
+	}
+	for _, workers := range []int{1, 4} {
+		var got []*workload.Trace
+		withWorkers(t, workers, func() {
+			got = par.Map(len(tasks), func(i int) *workload.Trace { return calibrateStutters(tasks[i], dev) })
+		})
+		for i, task := range tasks {
+			if got[i].Name != want[i].Name || !slices.Equal(got[i].Costs, want[i].Costs) {
+				t.Errorf("workers=%d %s: search trace (%d frames) differs from the reference's (%d frames)",
+					workers, task.Name, got[i].Len(), want[i].Len())
+			}
+		}
+	}
+}
+
+// TestProbeSteadyStateAllocs pins a warm calibration probe — generate a
+// replica into the search's trace buffer with its stream, RunTrace it on
+// the search's Runner, read FDPS — to the reuse path's budget of
+// TestRunnerSteadyStateAllocs (≤ 8). It uses no sync.Pool, so it holds
+// under the race detector too.
+func TestProbeSteadyStateAllocs(t *testing.T) {
+	dev := scenarios.Pixel5
+	q := scenarios.BaseProfile("probe-allocs", dev, scenarios.Moderate, workload.Deterministic)
+	pr := newProbe(dev, dev.Buffers)
+	seed := Seed
+	for i := 0; i < 3; i++ {
+		pr.replica(&q, 300, seed+int64(i))
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		seed++
+		pr.replica(&q, 300, seed)
+	}); avg > 8 {
+		t.Errorf("warm probe allocates %v per replica, want <= 8", avg)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"dvsync/internal/dist"
 	"dvsync/internal/par"
 	"dvsync/internal/scenarios"
 	"dvsync/internal/sim"
@@ -115,6 +116,10 @@ var calibSearches atomic.Int64
 // deterministic work counter for the search itself.
 var calibSims atomic.Int64
 
+// calibRunners counts the Runners calibration searches wired: at most one
+// per worker per search, however many probes the search runs.
+var calibRunners atomic.Int64
+
 func init() {
 	m := calibMap{}
 	calibCache.Store(&m)
@@ -126,6 +131,7 @@ func resetCalibCache() {
 	calibCache.Store(&m)
 	calibSearches.Store(0)
 	calibSims.Store(0)
+	calibRunners.Store(0)
 }
 
 func calibKey(p workload.Profile, frames int, dev scenarios.Device, buffers int,
@@ -168,19 +174,27 @@ func calibrateParams(p workload.Profile, frames int, dev scenarios.Device, buffe
 	}
 }
 
+// calibrateParamsUncached runs one calibration search. Its probes fan out
+// through par.MapLocals over a free list scoped to the search, so each
+// worker wires one probe — a VSync Runner, a trace buffer and a stream —
+// for the whole search and every probe after its first allocates nothing:
+// the ratio branch regenerates into the buffer with the stream rewound
+// (workload.Profile.GenerateInto), the cost-scale branch scales into it.
+// A Runner owns its result, so a probe reads FDPS before its next run.
 func calibrateParamsUncached(p workload.Profile, frames int, dev scenarios.Device, buffers int,
 	target float64, seed int64) calibration {
 	calibSearches.Add(1)
 	const maxRatio = 0.30
+	probes := &par.Locals[*probe]{New: func() *probe { return newProbe(dev, buffers) }}
 	// The search matches the *replica mean* — the quantity the experiments
 	// report — so the five-run averages land on the measured baselines.
 	// Each replica keeps the FDPS of every trace it has simulated in this
 	// search, with the span of ratios that regenerate that trace: after a
 	// dozen halvings the ratio moves less than the gap between two of a
 	// replica's key-frame decisions, so most replicas already know their
-	// result. Only the others are generated and fan out through
-	// par.MapLocal; summing every replica in index order keeps the mean
-	// bit-identical to simulating all of them.
+	// result. Only the others are generated and simulated; summing every
+	// replica in index order keeps the mean bit-identical to simulating
+	// all of them.
 	seen := make([][]spanFDPS, Replicas)
 	vals := make([]float64, Replicas)
 	var miss []int
@@ -195,12 +209,9 @@ func calibrateParamsUncached(p workload.Profile, frames int, dev scenarios.Devic
 				miss = append(miss, i)
 			}
 		}
-		fresh := par.MapLocal(len(miss),
-			func() *sim.Runner { return runnerFor(VSyncConfig(dev, buffers)) },
-			func(rn *sim.Runner, j int) spanFDPS {
-				tr, span := q.GenerateSpan(frames, seed+int64(miss[j]))
-				return spanFDPS{span: span, fdps: rn.RunTrace(tr).FDPS()}
-			})
+		fresh := par.MapLocals(probes, len(miss), func(pr *probe, j int) spanFDPS {
+			return pr.replica(&q, frames, seed+int64(miss[j]))
+		})
 		calibSims.Add(int64(len(miss)))
 		for j, i := range miss {
 			seen[i] = append(seen[i], fresh[j])
@@ -221,16 +232,37 @@ func calibrateParamsUncached(p workload.Profile, frames int, dev scenarios.Devic
 		bases[i] = q.Generate(frames, seed+int64(i))
 	}
 	measureScale := func(s float64) float64 {
-		vals := par.MapLocal(len(bases),
-			func() *sim.Runner { return runnerFor(VSyncConfig(dev, buffers)) },
-			func(rn *sim.Runner, i int) float64 {
-				return rn.RunTrace(bases[i].Scale(s)).FDPS()
-			})
+		vals := par.MapLocals(probes, len(bases), func(pr *probe, i int) float64 {
+			return pr.rn.RunTrace(bases[i].ScaleInto(&pr.tr, s)).FDPS()
+		})
 		calibSims.Add(int64(len(bases)))
 		return replicaMean(vals)
 	}
 	scale := bisect(measureScale, target, 1.0, 6.0)
 	return calibration{ratio: maxRatio, scale: scale}
+}
+
+// probe is one worker's scratch for a calibration search: a Runner wired
+// for the search's config, the trace buffer each probe fills, and the
+// stream that fills it. Every probe rewinds all three, so which worker
+// runs which replica never shows in a result.
+type probe struct {
+	rn *sim.Runner
+	tr workload.Trace
+	g  *dist.RNG
+}
+
+// newProbe wires a probe for a VSync search on the device and queue size.
+func newProbe(dev scenarios.Device, buffers int) *probe {
+	calibRunners.Add(1)
+	return &probe{rn: runnerFor(VSyncConfig(dev, buffers)), g: dist.New(Seed)}
+}
+
+// replica generates the profile's trace for seed into the probe's buffer
+// and simulates it: one replica of a ratio probe.
+func (pr *probe) replica(q *workload.Profile, frames int, seed int64) spanFDPS {
+	span := q.GenerateInto(&pr.tr, pr.g, frames, seed)
+	return spanFDPS{span: span, fdps: pr.rn.RunTrace(&pr.tr).FDPS()}
 }
 
 // spanFDPS is one simulated replica trace during a calibration search: its

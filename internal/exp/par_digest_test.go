@@ -54,12 +54,13 @@ func find(id string) (Experiment, bool) {
 // calibration under par.Map; "faults" covers the (class, severity) matrix
 // with seeded fault injection — the scenario most sensitive to stream
 // splitting mistakes; "fleet" covers the census engine's shard→merge
-// order and cache-hit accounting under par.MapLocal.
+// order and cache-hit accounting under par.MapLocal; "table2" covers the
+// stutter searches, each on one reused Runner, under par.Map.
 func TestParallelDigestEquality(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment rendering is slow")
 	}
-	for _, id := range []string{"future", "faults", "fleet"} {
+	for _, id := range []string{"future", "faults", "fleet", "table2"} {
 		t.Run(id, func(t *testing.T) {
 			serial := renderExperiment(t, id, 1)
 			if len(serial) == 0 {
@@ -123,5 +124,26 @@ func TestCalibrationMemoised(t *testing.T) {
 	}
 	if got := calibSearches.Load(); got != 2 {
 		t.Errorf("distinct key ran %d searches total, want 2", got)
+	}
+
+	// A search wires its Runners once for all its probes: one at one
+	// worker, at most one per worker wider, with the same simulations.
+	for _, workers := range []int{1, 4} {
+		resetCalibCache()
+		var again calibration
+		withWorkers(t, workers, func() {
+			again = calibrateParams(p, 300, dev, dev.Buffers, 2.0, Seed)
+			if got := calibRunners.Load(); got < 1 || got > int64(par.Workers()) ||
+				workers == 1 && got != 1 {
+				t.Errorf("workers=%d: search wired %d Runners, want 1..%d (exactly 1 serially)",
+					workers, got, par.Workers())
+			}
+		})
+		if got := calibSims.Load(); got != searchSims {
+			t.Errorf("workers=%d: search ran %d simulations, pinned %d", workers, got, searchSims)
+		}
+		if again != fresh {
+			t.Errorf("workers=%d: calibration %+v differs from the first run's %+v", workers, again, fresh)
+		}
 	}
 }

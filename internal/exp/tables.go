@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 
+	"dvsync/internal/dist"
 	"dvsync/internal/ipl"
 	"dvsync/internal/metrics"
 	"dvsync/internal/par"
@@ -42,25 +43,35 @@ type Table2Result struct {
 }
 
 // calibrateStutters tunes a task's key-frame rate until the simulated VSync
-// run produces the paper's perceived-stutter count.
+// run produces the paper's perceived-stutter count. All 26 probes of the
+// bisection run on one Runner, and a probe regenerates only the scenes
+// whose RatioSpan excludes its ratio, into that scene's own buffer, before
+// joining the scenes into one reused trace; the trace it returns is the
+// one workload.Concat would build from freshly generated scenes. A
+// Runner owns its result, so a probe counts stutters before the next run.
 func calibrateStutters(task scenarios.UXTask, dev scenarios.Device) *workload.Trace {
 	cfg := metrics.DefaultStutterConfig()
-	measure := func(tr *workload.Trace) float64 {
-		r := VSyncRun(tr, dev, dev.Buffers)
-		return float64(metrics.CountStutters(r.JankEvents(), cfg))
-	}
+	rn := runnerFor(VSyncConfig(dev, dev.Buffers))
+	p := scenarios.BaseProfile(task.Name, dev, task.Tail, workload.Deterministic)
+	g := dist.New(Seed)
+	scenes := make([]workload.Trace, task.Scenes)
+	spans := make([]workload.RatioSpan, task.Scenes) // the zero span holds no ratio
+	joined := &workload.Trace{Name: task.Name}
 	gen := func(ratio float64) *workload.Trace {
-		p := scenarios.BaseProfile(task.Name, dev, task.Tail, workload.Deterministic)
 		p.LongRatio = ratio
-		var scenes []*workload.Trace
-		for i := 0; i < task.Scenes; i++ {
-			scenes = append(scenes, p.Generate(task.SceneFrames, Seed+int64(i)*7919))
+		joined.Costs = joined.Costs[:0]
+		for i := range scenes {
+			if !spans[i].Contains(ratio) {
+				spans[i] = p.GenerateInto(&scenes[i], g, task.SceneFrames, Seed+int64(i)*7919)
+			}
+			joined.Costs = append(joined.Costs, scenes[i].Costs...)
 		}
-		return workload.Concat(task.Name, scenes...)
+		return joined
 	}
-	ratio := bisect(func(r float64) float64 { return measure(gen(r)) },
-		float64(task.PaperVSyncStutters), 0.001, 0.30)
-	return gen(ratio)
+	measure := func(ratio float64) float64 {
+		return float64(metrics.CountStutters(rn.RunTrace(gen(ratio)).JankEvents(), cfg))
+	}
+	return gen(bisect(measure, float64(task.PaperVSyncStutters), 0.001, 0.30))
 }
 
 // Table2 regenerates Table 2: perceived stutters across the eight

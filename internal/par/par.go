@@ -90,73 +90,8 @@ func (p JobPanic) Error() string {
 // remaining unclaimed jobs are abandoned and Map re-panics with a JobPanic
 // once all in-flight jobs have finished.
 func Map[T any](n int, fn func(i int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]T, n)
-	p := cur.Load()
-	if p.workers <= 1 || n == 1 {
-		for i := range out {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						panic(JobPanic{Index: i, Value: r})
-					}
-				}()
-				out[i] = fn(i)
-			}()
-		}
-		return out
-	}
-
-	var (
-		next  atomic.Int64
-		mu    sync.Mutex
-		first *JobPanic
-	)
-	run := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						next.Store(int64(n)) // poison: abandon unclaimed jobs
-						mu.Lock()
-						if first == nil || i < first.Index {
-							first = &JobPanic{Index: i, Value: r}
-						}
-						mu.Unlock()
-					}
-				}()
-				out[i] = fn(i)
-			}()
-		}
-	}
-
-	var wg sync.WaitGroup
-spawn:
-	for h := 0; h < p.workers-1 && h < n-1; h++ {
-		select {
-		case <-p.tokens:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { p.tokens <- struct{}{} }()
-				run()
-			}()
-		default:
-			break spawn // budget exhausted (nested Map): run inline only
-		}
-	}
-	run()
-	wg.Wait()
-	if first != nil {
-		panic(*first)
-	}
-	return out
+	return MapLocal(n, func() struct{} { return struct{}{} },
+		func(_ struct{}, i int) T { return fn(i) })
 }
 
 // MapLocal is Map with per-goroutine scratch state: every goroutine that
@@ -172,15 +107,64 @@ spawn:
 // history leaks into the output (an RNG stream, an accumulator) would
 // break the byte-identical-at-any-width contract. Locals are never shared
 // between goroutines and need no locking; they are discarded when MapLocal
-// returns.
+// returns. It is MapLocals over a free list that nobody keeps.
 func MapLocal[L, T any](n int, newLocal func() L, fn func(local L, i int) T) []T {
+	return MapLocals(&Locals[L]{New: newLocal}, n, fn)
+}
+
+// Locals is a free list of MapLocal scratch values that outlive one call:
+// MapLocals hands each goroutine that claims a job a local from the list,
+// building one with New only when the list is empty, and puts every local
+// back when the goroutine runs out of jobs. A sequence of calls over one
+// list — the probes of a calibration search — therefore builds at most
+// Workers() locals in all instead of up to that many per call.
+//
+// Scope a list to one such sequence and fill it only with locals every
+// job fully rewinds: the determinism rule of MapLocal covers everything
+// the list hands out, and a list that outlived the sequence would carry
+// one caller's scratch into another's jobs. A local is held by one
+// goroutine at a time. Set New before use; do not copy a list.
+type Locals[L any] struct {
+	// New builds a local when the list is empty.
+	New func() L
+
+	mu   sync.Mutex
+	free []L
+}
+
+// get takes a local from the list, building one if it is empty.
+func (ls *Locals[L]) get() L {
+	ls.mu.Lock()
+	if k := len(ls.free); k > 0 {
+		l := ls.free[k-1]
+		ls.free = ls.free[:k-1]
+		ls.mu.Unlock()
+		return l
+	}
+	ls.mu.Unlock()
+	return ls.New()
+}
+
+// put returns a local to the list.
+func (ls *Locals[L]) put(l L) {
+	ls.mu.Lock()
+	ls.free = append(ls.free, l)
+	ls.mu.Unlock()
+}
+
+// MapLocals is MapLocal drawing its locals from ls and returning them when
+// it is done; it is the package's one fan-out loop. A goroutine takes its
+// local only once it has claimed a job, so helpers that lose the race for
+// the first claim never take or build one. A local whose job panicked is
+// not returned to the list.
+func MapLocals[L, T any](ls *Locals[L], n int, fn func(local L, i int) T) []T {
 	if n <= 0 {
 		return nil
 	}
 	out := make([]T, n)
 	p := cur.Load()
 	if p.workers <= 1 || n == 1 {
-		local := newLocal()
+		local := ls.get()
 		for i := range out {
 			func() {
 				defer func() {
@@ -191,6 +175,7 @@ func MapLocal[L, T any](n int, newLocal func() L, fn func(local L, i int) T) []T
 				out[i] = fn(local, i)
 			}()
 		}
+		ls.put(local)
 		return out
 	}
 
@@ -200,25 +185,23 @@ func MapLocal[L, T any](n int, newLocal func() L, fn func(local L, i int) T) []T
 		first *JobPanic
 	)
 	run := func() {
-		// The local is built only once this goroutine has claimed a job:
-		// helpers that lose the race for the first claim never pay for a
-		// context they would not use.
 		var (
-			local L
-			built bool
+			local    L
+			held, ok bool
 		)
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
-				return
+				break
 			}
-			if !built {
-				local = newLocal()
-				built = true
+			if !held {
+				local = ls.get()
+				held, ok = true, true
 			}
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
+						ok = false
 						next.Store(int64(n)) // poison: abandon unclaimed jobs
 						mu.Lock()
 						if first == nil || i < first.Index {
@@ -229,6 +212,9 @@ func MapLocal[L, T any](n int, newLocal func() L, fn func(local L, i int) T) []T
 				}()
 				out[i] = fn(local, i)
 			}()
+		}
+		if held && ok {
+			ls.put(local)
 		}
 	}
 

@@ -266,3 +266,38 @@ func TestMapLocalZeroJobs(t *testing.T) {
 		t.Errorf("MapLocal(0) = %v, want nil", got)
 	}
 }
+
+// TestMapLocalsReusesLocals: a sequence of calls over one free list builds
+// at most Workers() locals in all, exactly one on the serial path, and a
+// local whose job panicked is not handed out again.
+func TestMapLocalsReusesLocals(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		withWorkers(t, w)
+		var built atomic.Int64
+		ls := &par.Locals[*int]{New: func() *int { n := int(built.Add(1)); return &n }}
+		for call := 0; call < 20; call++ {
+			got := par.MapLocals(ls, 1+call%7, func(local *int, i int) int { return i * i })
+			for i, v := range got {
+				if v != i*i {
+					t.Fatalf("workers=%d call %d: result[%d] = %d", w, call, i, v)
+				}
+			}
+		}
+		if n := built.Load(); n < 1 || n > int64(w) || w == 1 && n != 1 {
+			t.Errorf("workers=%d: 20 calls built %d locals, want 1..%d (exactly 1 serially)", w, n, w)
+		}
+
+		withWorkers(t, 1)
+		var poisoned *int
+		func() {
+			defer func() { recover() }()
+			par.MapLocals(ls, 1, func(local *int, i int) int { poisoned = local; panic("boom") })
+		}()
+		par.MapLocals(ls, 8, func(local *int, i int) int {
+			if local == poisoned {
+				t.Errorf("workers=%d: a local whose job panicked was handed out again", w)
+			}
+			return i
+		})
+	}
+}

@@ -74,16 +74,29 @@ func (t *Trace) Len() int { return len(t.Costs) }
 
 // Scale returns a copy with every stage cost multiplied by f. Calibration
 // uses this to match a measured baseline FDPS.
-func (t *Trace) Scale(f float64) *Trace {
-	out := &Trace{Name: t.Name, Costs: make([]Cost, len(t.Costs))}
+func (t *Trace) Scale(f float64) *Trace { return t.ScaleInto(&Trace{}, f) }
+
+// ScaleInto is Scale writing into dst, whose Costs capacity it reuses, and
+// returns dst. dst must not share t's costs.
+func (t *Trace) ScaleInto(dst *Trace, f float64) *Trace {
+	dst.Name = t.Name
+	dst.Costs = resize(dst.Costs, len(t.Costs))
 	for i, c := range t.Costs {
-		out.Costs[i] = Cost{
+		dst.Costs[i] = Cost{
 			UI:    simtime.Duration(float64(c.UI) * f),
 			RS:    simtime.Duration(float64(c.RS) * f),
 			Class: c.Class,
 		}
 	}
-	return out
+	return dst
+}
+
+// resize returns costs with length n, reusing its capacity when it holds n.
+func resize(costs []Cost, n int) []Cost {
+	if cap(costs) < n {
+		return make([]Cost, n)
+	}
+	return costs[:n]
 }
 
 // TotalCost sums all stage costs.
@@ -211,6 +224,19 @@ func (p *Profile) Generate(n int, seed int64) *Trace {
 // reproducing the trace, so a caller varying only the ratio can tell
 // which traces it already has.
 func (p *Profile) GenerateSpan(n int, seed int64) (*Trace, RatioSpan) {
+	t := &Trace{}
+	span := p.GenerateInto(t, dist.New(seed), n, seed)
+	return t, span
+}
+
+// GenerateInto is GenerateSpan writing into t, whose Costs capacity it
+// reuses, and drawing from g, which it first rewinds to the trace's stream
+// (dist.SplitSeed(seed, p.Name), the child dist.New(seed).Split(p.Name)
+// would be), so g's history never shows in the trace. A caller generating
+// trace after trace keeps one t and one g: once t holds n frames nothing
+// allocates, and g seeds one math/rand source per trace instead of two.
+// t must be no trace a simulation still reads.
+func (p *Profile) GenerateInto(t *Trace, g *dist.RNG, n int, seed int64) RatioSpan {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
@@ -219,7 +245,7 @@ func (p *Profile) GenerateSpan(n int, seed int64) (*Trace, RatioSpan) {
 	if p.LongScaleMs <= 0 || p.LongAlpha <= 1 {
 		span.ceiling = 0
 	}
-	g := dist.New(seed).Split(p.Name)
+	g.Reseed(dist.SplitSeed(seed, p.Name))
 	short := dist.LognormalFromMoments(p.ShortMeanMs, math.Max(p.ShortSigmaMs, 1e-6))
 	long := dist.Pareto{Xm: p.LongScaleMs, Alpha: p.LongAlpha}
 	maxMs := p.MaxFrameMs
@@ -232,7 +258,8 @@ func (p *Profile) GenerateSpan(n int, seed int64) (*Trace, RatioSpan) {
 
 	pLongAfterShort := longAfterShort(p.LongRatio, p.Burstiness)
 
-	t := &Trace{Name: p.Name, Costs: make([]Cost, n)}
+	t.Name = p.Name
+	t.Costs = resize(t.Costs, n)
 	draw := g.Float64()
 	inLong := draw < p.LongRatio
 	if n > 0 {
@@ -265,7 +292,7 @@ func (p *Profile) GenerateSpan(n int, seed int64) (*Trace, RatioSpan) {
 			}
 		}
 	}
-	return t, span
+	return span
 }
 
 // RatioSpan is the set of LongRatio values at which Generate, with every

@@ -12,13 +12,16 @@
 package exp
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"sync/atomic"
 
 	"dvsync/internal/dist"
 	"dvsync/internal/par"
 	"dvsync/internal/scenarios"
 	"dvsync/internal/sim"
+	"dvsync/internal/vsyncrec"
 	"dvsync/internal/workload"
 )
 
@@ -116,9 +119,9 @@ var calibSearches atomic.Int64
 // deterministic work counter for the search itself.
 var calibSims atomic.Int64
 
-// calibRunners counts the Runners calibration searches wired: at most one
-// per worker per search, however many probes the search runs.
-var calibRunners atomic.Int64
+// calibProbes counts the probes calibration searches wired: at most one
+// per worker per search, however many probe runs the search makes.
+var calibProbes atomic.Int64
 
 func init() {
 	m := calibMap{}
@@ -131,7 +134,7 @@ func resetCalibCache() {
 	calibCache.Store(&m)
 	calibSearches.Store(0)
 	calibSims.Store(0)
-	calibRunners.Store(0)
+	calibProbes.Store(0)
 }
 
 func calibKey(p workload.Profile, frames int, dev scenarios.Device, buffers int,
@@ -174,16 +177,24 @@ func calibrateParams(p workload.Profile, frames int, dev scenarios.Device, buffe
 	}
 }
 
-// calibrateParamsUncached runs one calibration search. Its probes fan out
-// through par.MapLocals over a free list scoped to the search, so each
-// worker wires one probe — a VSync Runner, a trace buffer and a stream —
+// calibrateParamsUncached runs one calibration search under the
+// phase=exp.calibrate profile label. Its probes fan out through
+// par.MapLocals over a free list scoped to the search, so each worker
+// wires one probe — the VSync recurrence, a trace buffer and a stream —
 // for the whole search and every probe after its first allocates nothing:
 // the ratio branch regenerates into the buffer with the stream rewound
 // (workload.Profile.GenerateInto), the cost-scale branch scales into it.
-// A Runner owns its result, so a probe reads FDPS before its next run.
+// A probe reads FDPS before its next run, which overwrites the result.
 func calibrateParamsUncached(p workload.Profile, frames int, dev scenarios.Device, buffers int,
-	target float64, seed int64) calibration {
+	target float64, seed int64) (c calibration) {
 	calibSearches.Add(1)
+	calibrating(func() { c = searchParams(p, frames, dev, buffers, target, seed) })
+	return c
+}
+
+// searchParams is calibrateParamsUncached's search.
+func searchParams(p workload.Profile, frames int, dev scenarios.Device, buffers int,
+	target float64, seed int64) calibration {
 	const maxRatio = 0.30
 	probes := &par.Locals[*probe]{New: func() *probe { return newProbe(dev, buffers) }}
 	// The search matches the *replica mean* — the quantity the experiments
@@ -233,7 +244,7 @@ func calibrateParamsUncached(p workload.Profile, frames int, dev scenarios.Devic
 	}
 	measureScale := func(s float64) float64 {
 		vals := par.MapLocals(probes, len(bases), func(pr *probe, i int) float64 {
-			return pr.rn.RunTrace(bases[i].ScaleInto(&pr.tr, s)).FDPS()
+			return pr.run(bases[i].ScaleInto(&pr.tr, s)).FDPS()
 		})
 		calibSims.Add(int64(len(bases)))
 		return replicaMean(vals)
@@ -242,27 +253,83 @@ func calibrateParamsUncached(p workload.Profile, frames int, dev scenarios.Devic
 	return calibration{ratio: maxRatio, scale: scale}
 }
 
-// probe is one worker's scratch for a calibration search: a Runner wired
-// for the search's config, the trace buffer each probe fills, and the
-// stream that fills it. Every probe rewinds all three, so which worker
-// runs which replica never shows in a result.
-type probe struct {
-	rn *sim.Runner
-	tr workload.Trace
-	g  *dist.RNG
+// calibrating runs fn, one calibration search, under the pprof label
+// phase=exp.calibrate. It is set once per search, never per probe, and the
+// par workers the search starts inherit it, so `go tool pprof -tags`
+// splits a profile into calibration and rendering. A label reads no clock
+// and changes no output.
+func calibrating(fn func()) {
+	pprof.Do(context.TODO(), pprof.Labels("phase", "exp.calibrate"), func(context.Context) { fn() })
 }
+
+// probe is one worker's scratch for a calibration search: the VSync
+// recurrence for the search's config, the trace buffer each probe fills,
+// and the stream that fills it. Every probe rewinds all three, so which
+// worker runs which replica never shows in a result. A search reads only
+// jank edges, and the recurrence reproduces the event simulator's exactly
+// on every config VSyncConfig builds, so probing it moves no calibration
+// bit (DESIGN.md §4).
+type probe struct {
+	rec   *vsyncrec.Model
+	tr    workload.Trace
+	g     *dist.RNG
+	check func(tr *workload.Trace, got *vsyncrec.Result) // probeOracle's checker, or nil
+}
+
+// probeOracle, when a test sets it, builds a checker beside every probe a
+// search wires; the probe hands it each trace it runs with the
+// recurrence's result, which the checker compares with the event
+// simulator's. It is nil outside tests.
+var probeOracle func(cfg sim.Config) func(tr *workload.Trace, got *vsyncrec.Result)
 
 // newProbe wires a probe for a VSync search on the device and queue size.
 func newProbe(dev scenarios.Device, buffers int) *probe {
-	calibRunners.Add(1)
-	return &probe{rn: runnerFor(VSyncConfig(dev, buffers)), g: dist.New(Seed)}
+	calibProbes.Add(1)
+	cfg := VSyncConfig(dev, buffers)
+	pr := &probe{rec: recurrence(cfg), g: dist.New(Seed)}
+	if probeOracle != nil {
+		pr.check = probeOracle(cfg)
+	}
+	return pr
+}
+
+// run runs tr on the probe's recurrence. The result is the probe's own
+// and the next run overwrites it.
+func (pr *probe) run(tr *workload.Trace) *vsyncrec.Result {
+	res := pr.rec.Run(tr)
+	if pr.check != nil {
+		pr.check(tr, res)
+	}
+	return res
 }
 
 // replica generates the profile's trace for seed into the probe's buffer
-// and simulates it: one replica of a ratio probe.
+// and runs it: one replica of a ratio probe.
 func (pr *probe) replica(q *workload.Profile, frames int, seed int64) spanFDPS {
 	span := q.GenerateInto(&pr.tr, pr.g, frames, seed)
-	return spanFDPS{span: span, fdps: pr.rn.RunTrace(&pr.tr).FDPS()}
+	return spanFDPS{span: span, fdps: pr.run(&pr.tr).FDPS()}
+}
+
+// recurrence wires the exact VSync recurrence for cfg's runs. Calibration
+// probes it with no event-simulator fallback, so a config outside its
+// domain panics rather than calibrate on other semantics.
+func recurrence(cfg sim.Config) *vsyncrec.Model {
+	if !inRecurrenceDomain(cfg) {
+		panic("exp: config outside the VSync recurrence's domain")
+	}
+	return vsyncrec.New(vsyncrec.Config{RefreshHz: cfg.Panel.RefreshHz, Buffers: cfg.Buffers,
+		AppOffset: cfg.AppOffset, Depth: cfg.VSyncPipelineDepth})
+}
+
+// inRecurrenceDomain reports whether the VSync recurrence reproduces
+// cfg's runs exactly (vsyncrec's package comment has the domain).
+// Observers and the D-VSync-only fields change no VSync run.
+func inRecurrenceDomain(cfg sim.Config) bool {
+	pc := cfg.Panel
+	return cfg.Mode == sim.ModeVSync &&
+		pc.JitterStdDev == 0 && pc.PeriodSkewPPM == 0 && pc.EdgeDelay == nil && pc.EdgeMiss == nil &&
+		(cfg.Faults == nil || !cfg.Faults.Enabled()) && cfg.LTPOPolicy == nil &&
+		!cfg.DropStaleBuffers && cfg.MaxSimTime == 0 && cfg.ContentSample == nil
 }
 
 // spanFDPS is one simulated replica trace during a calibration search: its

@@ -55,7 +55,7 @@ func find(id string) (Experiment, bool) {
 // with seeded fault injection — the scenario most sensitive to stream
 // splitting mistakes; "fleet" covers the census engine's shard→merge
 // order and cache-hit accounting under par.MapLocal; "table2" covers the
-// stutter searches, each on one reused Runner, under par.Map.
+// stutter searches, each on one probe, under par.Map.
 func TestParallelDigestEquality(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment rendering is slow")
@@ -126,16 +126,16 @@ func TestCalibrationMemoised(t *testing.T) {
 		t.Errorf("distinct key ran %d searches total, want 2", got)
 	}
 
-	// A search wires its Runners once for all its probes: one at one
+	// A search wires its probes once for all its runs: one at one
 	// worker, at most one per worker wider, with the same simulations.
 	for _, workers := range []int{1, 4} {
 		resetCalibCache()
 		var again calibration
 		withWorkers(t, workers, func() {
 			again = calibrateParams(p, 300, dev, dev.Buffers, 2.0, Seed)
-			if got := calibRunners.Load(); got < 1 || got > int64(par.Workers()) ||
+			if got := calibProbes.Load(); got < 1 || got > int64(par.Workers()) ||
 				workers == 1 && got != 1 {
-				t.Errorf("workers=%d: search wired %d Runners, want 1..%d (exactly 1 serially)",
+				t.Errorf("workers=%d: search wired %d probes, want 1..%d (exactly 1 serially)",
 					workers, got, par.Workers())
 			}
 		})

@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"strings"
 
-	"dvsync/internal/dist"
 	"dvsync/internal/ipl"
 	"dvsync/internal/metrics"
 	"dvsync/internal/par"
@@ -43,17 +42,24 @@ type Table2Result struct {
 }
 
 // calibrateStutters tunes a task's key-frame rate until the simulated VSync
-// run produces the paper's perceived-stutter count. All 26 probes of the
-// bisection run on one Runner, and a probe regenerates only the scenes
-// whose RatioSpan excludes its ratio, into that scene's own buffer, before
-// joining the scenes into one reused trace; the trace it returns is the
-// one workload.Concat would build from freshly generated scenes. A
-// Runner owns its result, so a probe counts stutters before the next run.
-func calibrateStutters(task scenarios.UXTask, dev scenarios.Device) *workload.Trace {
+// run produces the paper's perceived-stutter count. The search runs under
+// the phase=exp.calibrate profile label.
+func calibrateStutters(task scenarios.UXTask, dev scenarios.Device) (tr *workload.Trace) {
+	calibrating(func() { tr = searchStutters(task, dev) })
+	return tr
+}
+
+// searchStutters is calibrateStutters' search. All 26 probes of the
+// bisection run on one probe's recurrence, and a probe regenerates only
+// the scenes whose RatioSpan excludes its ratio, into that scene's own
+// buffer, before joining the scenes into one reused trace; the trace it
+// returns is the one workload.Concat would build from freshly generated
+// scenes. A probe counts stutters before the next run overwrites its
+// result.
+func searchStutters(task scenarios.UXTask, dev scenarios.Device) *workload.Trace {
 	cfg := metrics.DefaultStutterConfig()
-	rn := runnerFor(VSyncConfig(dev, dev.Buffers))
+	pr := newProbe(dev, dev.Buffers)
 	p := scenarios.BaseProfile(task.Name, dev, task.Tail, workload.Deterministic)
-	g := dist.New(Seed)
 	scenes := make([]workload.Trace, task.Scenes)
 	spans := make([]workload.RatioSpan, task.Scenes) // the zero span holds no ratio
 	joined := &workload.Trace{Name: task.Name}
@@ -62,14 +68,14 @@ func calibrateStutters(task scenarios.UXTask, dev scenarios.Device) *workload.Tr
 		joined.Costs = joined.Costs[:0]
 		for i := range scenes {
 			if !spans[i].Contains(ratio) {
-				spans[i] = p.GenerateInto(&scenes[i], g, task.SceneFrames, Seed+int64(i)*7919)
+				spans[i] = p.GenerateInto(&scenes[i], pr.g, task.SceneFrames, Seed+int64(i)*7919)
 			}
 			joined.Costs = append(joined.Costs, scenes[i].Costs...)
 		}
 		return joined
 	}
 	measure := func(ratio float64) float64 {
-		return float64(metrics.CountStutters(rn.RunTrace(gen(ratio)).JankEvents(), cfg))
+		return float64(metrics.CountStutters(pr.run(gen(ratio)).Janks, cfg))
 	}
 	return gen(bisect(measure, float64(task.PaperVSyncStutters), 0.001, 0.30))
 }

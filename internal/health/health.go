@@ -8,6 +8,7 @@ package health
 
 import (
 	"fmt"
+	"math"
 
 	"dvsync/internal/simtime"
 )
@@ -66,13 +67,13 @@ type Config struct {
 }
 
 // Validate reports configuration errors, including the zero fallback
-// threshold.
+// threshold and NaN thresholds, which no comparison would ever trip.
 func (c Config) Validate() error {
 	switch {
-	case c.MaxFDPS <= 0:
+	case math.IsNaN(c.MaxFDPS) || c.MaxFDPS <= 0:
 		return fmt.Errorf("health: fallback FDPS threshold must be positive, got %v", c.MaxFDPS)
-	case c.MaxCalibErrMs < 0:
-		return fmt.Errorf("health: negative calibration-error bound %v", c.MaxCalibErrMs)
+	case math.IsNaN(c.MaxCalibErrMs) || c.MaxCalibErrMs < 0:
+		return fmt.Errorf("health: calibration-error bound must be non-negative, got %v", c.MaxCalibErrMs)
 	case c.Window < 0:
 		return fmt.Errorf("health: negative window %v", c.Window)
 	case c.StallTimeout < 0:

@@ -1,6 +1,7 @@
 package health
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -18,7 +19,9 @@ func TestValidate(t *testing.T) {
 		{"valid", Config{MaxFDPS: 5}, ""},
 		{"zero fallback threshold", Config{MaxFDPS: 0}, "threshold"},
 		{"negative fallback threshold", Config{MaxFDPS: -1}, "threshold"},
+		{"NaN fallback threshold", Config{MaxFDPS: math.NaN()}, "threshold"},
 		{"negative calib bound", Config{MaxFDPS: 5, MaxCalibErrMs: -1}, "calibration"},
+		{"NaN calib bound", Config{MaxFDPS: 5, MaxCalibErrMs: math.NaN()}, "calibration"},
 		{"negative window", Config{MaxFDPS: 5, Window: -1}, "window"},
 		{"negative stall timeout", Config{MaxFDPS: 5, StallTimeout: -1}, "stall"},
 		{"negative hysteresis", Config{MaxFDPS: 5, RecoverAfter: -1}, "hysteresis"},

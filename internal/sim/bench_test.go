@@ -35,3 +35,15 @@ func BenchmarkRunnerReuse(b *testing.B) {
 func BenchmarkRunnerReuseFlight(b *testing.B) {
 	bench.RunnerReuseFlight(b)
 }
+
+// BenchmarkConfigDigest measures one digest of the fleet-census
+// benchmark's 600-frame cell: the census keys every cell it has not seen
+// by this digest, and dvserve, dvsim's checkpoints and flight dumps take
+// it once per run.
+func BenchmarkConfigDigest(b *testing.B) {
+	cfg := sim.FleetCellConfig(sim.ModeDVSync)
+	b.ReportAllocs()
+	for range b.N {
+		sim.ConfigDigest(cfg)
+	}
+}

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"dvsync/internal/buffer"
 	"dvsync/internal/core"
@@ -142,12 +144,9 @@ type cfgDigestView struct {
 	Health           health.Config
 }
 
-// ConfigDigest fingerprints a configuration for checkpoint pinning: two
-// configs with the same digest wire identical simulations (up to the
-// behaviour of attached closures, which contribute presence only — see
-// cfgDigestView). The digest is computed over the normalized config, so a
-// digest taken before New and one taken after agree.
-func ConfigDigest(cfg Config) string {
+// digestView builds the view ConfigDigest hashes from the normalized
+// config, trace costs included.
+func digestView(cfg Config) cfgDigestView {
 	cfg = normalized(cfg)
 	v := cfgDigestView{
 		Mode:               cfg.Mode,
@@ -189,12 +188,77 @@ func ConfigDigest(cfg Config) string {
 		v.TraceName = cfg.Trace.Name
 		v.TraceCosts = cfg.Trace.Costs
 	}
+	return v
+}
+
+// traceCostsKey is the JSON key the streamed trace costs follow.
+var traceCostsKey = []byte(`"TraceCosts":`)
+
+// ConfigDigest fingerprints a configuration for checkpoint pinning: two
+// configs with the same digest wire identical simulations (up to the
+// behaviour of attached closures, which contribute presence only — see
+// cfgDigestView). The digest is computed over the normalized config, so a
+// digest taken before New and one taken after agree.
+//
+// The digest is SHA-256 over json.Marshal of the view, but the trace
+// costs, nearly all of those bytes, never pass through encoding/json:
+// the view is marshalled with TraceCosts nil, and the costs are encoded
+// as encoding/json encodes them and hashed where that null stands, so
+// the hashed stream is byte for byte the marshalled full view.
+func ConfigDigest(cfg Config) string {
+	v := digestView(cfg)
+	costs := v.TraceCosts
+	v.TraceCosts = nil
 	b, err := json.Marshal(&v)
 	if err != nil {
 		panic(fmt.Sprintf("sim: config digest: %v", err))
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	if costs == nil {
+		h.Write(b)
+	} else {
+		// encoding/json escapes every '"' inside a string (PanelName,
+		// TraceName, FlightRecorder), so the key cannot occur inside one
+		// and its first occurrence is the field.
+		i := bytes.Index(b, traceCostsKey) + len(traceCostsKey)
+		h.Write(b[:i])
+		// The costs go through a fixed buffer, so a digest allocates the
+		// same at any trace length. It stays on the stack because h's
+		// Write is devirtualized here; handing it to an io.Writer would
+		// move it to the heap.
+		var buf [4096]byte
+		c := append(buf[:0], '[')
+		for k, x := range costs {
+			if len(c) > len(buf)-maxCostJSON {
+				h.Write(c)
+				c = c[:0]
+			}
+			if k > 0 {
+				c = append(c, ',')
+			}
+			c = appendCost(c, x)
+		}
+		h.Write(append(c, ']'))
+		h.Write(b[i+len("null"):])
+	}
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
+}
+
+// maxCostJSON bounds one encoded cost with its separator and the
+// closing bracket: ,{"UI":…,"RS":…,"Class":…}] with three 20-byte int64s.
+const maxCostJSON = len(`,{"UI":,"RS":,"Class":}]`) + 3*20
+
+// appendCost appends c as encoding/json encodes a workload.Cost: every
+// field a base-10 int64.
+func appendCost(b []byte, c workload.Cost) []byte {
+	b = append(b, `{"UI":`...)
+	b = strconv.AppendInt(b, int64(c.UI), 10)
+	b = append(b, `,"RS":`...)
+	b = strconv.AppendInt(b, int64(c.RS), 10)
+	b = append(b, `,"Class":`...)
+	b = strconv.AppendInt(b, int64(c.Class), 10)
+	return append(b, '}')
 }
 
 // Snapshot runs the simulation to the quiescent boundary at the given

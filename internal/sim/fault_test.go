@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -60,6 +61,20 @@ func TestValidateFaultConfigs(t *testing.T) {
 		{"negative recovery threshold", func(c *Config) {
 			c.FPERecoverAfter = -3
 		}, "recovery"},
+		// JSON has no NaN or ±Inf, so every float ConfigDigest reads must
+		// be finite; Health is digested with fallback off too.
+		{"NaN period skew", func(c *Config) { c.Panel.PeriodSkewPPM = math.NaN() }, "non-finite"},
+		{"infinite DTV smoothing", func(c *Config) { c.DTV.PeriodSmoothing = math.Inf(1) }, "non-finite"},
+		{"NaN DTV rate tolerance", func(c *Config) { c.DTV.RateChangeTolerance = math.NaN() }, "non-finite"},
+		{"-Inf DTV error bound", func(c *Config) { c.DTV.MaxAbsErrMs = math.Inf(-1) }, "non-finite"},
+		{"NaN fallback threshold, fallback off", func(c *Config) { c.Health.MaxFDPS = math.NaN() }, "non-finite"},
+		{"infinite calibration bound, fallback off", func(c *Config) {
+			c.Health.MaxCalibErrMs = math.Inf(1)
+		}, "non-finite"},
+		{"infinite fallback threshold", func(c *Config) {
+			c.EnableFallback = true
+			c.Health = health.Config{MaxFDPS: math.Inf(1)}
+		}, "non-finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,6 +6,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -358,6 +359,13 @@ func Validate(cfg Config) error {
 		return fmt.Errorf("sim: negative metrics interval %v", cfg.MetricsInterval)
 	case cfg.MetricsInterval > 0 && cfg.Metrics == nil:
 		return fmt.Errorf("sim: MetricsInterval set without a Metrics registry")
+	case !finite(cfg.Panel.PeriodSkewPPM):
+		return fmt.Errorf("sim: non-finite panel period skew %v", cfg.Panel.PeriodSkewPPM)
+	case !finite(cfg.DTV.PeriodSmoothing) || !finite(cfg.DTV.RateChangeTolerance) || !finite(cfg.DTV.MaxAbsErrMs):
+		return fmt.Errorf("sim: non-finite DTV parameter in %+v", cfg.DTV)
+	case !finite(cfg.Health.MaxFDPS) || !finite(cfg.Health.MaxCalibErrMs):
+		// Checked with fallback off too: ConfigDigest reads Health always.
+		return fmt.Errorf("sim: non-finite health threshold in %+v", cfg.Health)
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
@@ -374,6 +382,10 @@ func Validate(cfg Config) error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf: every float
+// ConfigDigest reads must be, since JSON has no encoding for the others.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // New wires a simulation from the config. Invalid configurations panic;
 // use TryRun (or Validate first) to get an error value instead.

@@ -40,11 +40,12 @@
 // parameter set once and keeps the finished run for the newest 16 sets:
 // repeat requests encode it and simulate nothing.
 //
-// With -checkpoint-dir, every request runs its scenario, periodically
-// checkpointed, and /stream writes each row as the run samples it; a run
-// interrupted by a crash resumes from its last good checkpoint on the
-// next identical request — determinism makes the recovered exports
-// byte-identical to an uninterrupted run's.
+// With -checkpoint-dir, every request runs its scenario, writing a replay
+// marker every -checkpoint-every of virtual time, and /stream writes each
+// row as the run samples it; a run interrupted by a crash resumes on the
+// next identical request by replaying the run to its last good marker —
+// determinism makes the recovered exports and streams byte-identical to
+// an uninterrupted run's.
 package main
 
 import (

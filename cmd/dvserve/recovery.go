@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -14,16 +12,17 @@ import (
 )
 
 // runner executes scenario runs. With a checkpoint directory configured
-// it periodically snapshots each run, and when a previous process died
-// mid-run it resumes the identical scenario from its last good checkpoint
-// instead of restarting — the deterministic core guarantees a recovered
-// run's exports are byte-identical to an uninterrupted one's.
+// it periodically writes a replay marker for each run, and when a previous
+// process died mid-run it resumes the identical scenario from its last
+// good marker by replaying the run to it — the deterministic core
+// guarantees a recovered run's exports, and every row it streams, are
+// byte-identical to an uninterrupted one's.
 type runner struct {
 	dir   string           // checkpoint directory; empty disables recovery
-	every simtime.Duration // snapshot cadence in virtual time (0: 500 ms)
+	every simtime.Duration // marker cadence in virtual time (0: 500 ms)
 
 	// mu serialises checkpointed runs: concurrent requests for the same
-	// scenario would otherwise race on the same snapshot slot.
+	// scenario would otherwise race on the same marker slot.
 	mu sync.Mutex
 
 	// cmu guards the finished-run cache (serve/entry); cache maps a
@@ -82,51 +81,39 @@ func (rn *runner) run(p params, reg *dvsync.TelemetryRegistry) (simtime.Time, er
 	if every <= 0 {
 		every = simtime.Duration(dvsync.FromMillis(500))
 	}
-	if _, err := sys.RunCheckpointed(every, func(st *sim.State) error {
-		payload, err := json.Marshal(st)
-		if err != nil {
+	if _, err := sys.RunCheckpointed(every, func(at simtime.Time) error {
+		if err := store.SaveMarker(digest, at); err != nil {
 			return err
 		}
-		if err := store.Save(digest, int64(st.At), nil, payload); err != nil {
-			return err
-		}
-		if rn.crashAfter > 0 && st.At >= rn.crashAfter {
+		if rn.crashAfter > 0 && at >= rn.crashAfter {
 			return errSimulatedCrash
 		}
 		return nil
 	}); err != nil {
 		return resumedFrom, err
 	}
-	// A finished run invalidates its snapshots: the next identical request
-	// must compute from scratch, not replay a completed run's tail.
+	// A finished run invalidates its markers: the next identical request
+	// computes from scratch.
 	if err := store.Clear(); err != nil {
 		return resumedFrom, err
 	}
 	return resumedFrom, nil
 }
 
-// open restores the system from the slot's newest usable snapshot, or
-// starts fresh when the slot is empty or its snapshots are unreadable —
-// a corrupt checkpoint must never wedge a scenario that can simply be
-// recomputed. A snapshot that decodes but fails restore is discarded and
-// reported: the registry may be partially populated by then, so silently
-// rerunning on it would corrupt the export.
+// open replays the system to the slot's newest usable marker, or starts
+// fresh when the slot is empty or holds no usable marker — a corrupt,
+// foreign or old-schema checkpoint must never wedge a scenario that can
+// simply be recomputed. The replay refills reg from the start of the run,
+// so the export and every row the run hands OnSample are the straight
+// run's.
 func (rn *runner) open(cfg dvsync.Config, store *checkpoint.Store, digest string) (*sim.System, simtime.Time, error) {
-	env, err := store.Load()
+	at, err := store.LoadMarker(digest)
 	if err != nil {
 		return sim.New(cfg), 0, nil
 	}
-	if err := env.VerifyConfig(digest); err != nil {
-		return sim.New(cfg), 0, nil
-	}
-	var st sim.State
-	if err := env.DecodeState(&st); err != nil {
-		return sim.New(cfg), 0, nil
-	}
-	sys, err := sim.Resume(cfg, &st)
+	sys, err := sim.Resume(cfg, at)
 	if err != nil {
-		store.Clear() //dvlint:ignore errflow the snapshot is already known bad; the load error is the one worth reporting
-		return nil, 0, fmt.Errorf("resume from %v failed, checkpoint discarded: %w", env.At(), err)
+		return nil, 0, err
 	}
-	return sys, env.At(), nil
+	return sys, at, nil
 }

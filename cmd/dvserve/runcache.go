@@ -96,9 +96,9 @@ var digestRing = dvsync.NewFlightRecorder(dvsync.FlightConfig{})
 // dumps.
 //
 // Checkpointed runs keep the uncached path and onSample observes each row
-// live as the run samples it: their runs resume mid-way from snapshots
-// by design, so a resumed run hands onSample only the rows after the
-// resume point. They return no dump ids.
+// live as the run samples it. A run resumed after a crash replays from
+// the start, so onSample sees every row of it too. They return no dump
+// ids.
 func (rn *runner) serve(p params,
 	onSample func(*dvsync.TelemetryRegistry, dvsync.TelemetrySample)) (*dvsync.TelemetryRegistry, []string, error) {
 	if rn.dir != "" {

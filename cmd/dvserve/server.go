@@ -261,10 +261,10 @@ type errorEvent struct {
 // scenario's rows are the stored rows of its one finished run — the rows
 // the run sampled, so the bytes are those of a live stream of it. With
 // -checkpoint-dir the run executes inside the request and each row is
-// written as it is sampled; when crash recovery resumes a run, samples
-// before the resume point are restored straight into the registry, so
-// the stream carries only post-resume rows, but the final snapshot is
-// complete and byte-identical to an uninterrupted run's.
+// written as it is sampled; when crash recovery resumes a run it replays
+// the run from the start, so the stream carries every row and is
+// byte-identical to an uninterrupted run's (a client of the crashed
+// process lost its connection with it).
 // Each stream opens with a `retry:` reconnect hint, flushed at once, and
 // a host-time keepalive ticker flushes a `: keepalive` comment whenever
 // the request runs for longer than keepaliveInterval, so proxies and idle

@@ -17,7 +17,6 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -68,10 +67,10 @@ func main() {
 
 		ckptDir   = flag.String("checkpoint-dir", "", "periodically checkpoint the run into this directory")
 		ckptEvery = flag.Float64("checkpoint-every", 500, "checkpoint interval (virtual ms, with -checkpoint-dir)")
-		resume    = flag.Bool("resume", false, "resume from the newest checkpoint in -checkpoint-dir (fresh start if none)")
+		resume    = flag.Bool("resume", false, "resume from the newest checkpoint in -checkpoint-dir by replaying the run to it (fresh start if none)")
 		digestOut = flag.Bool("trace-digest", false, "record a structured trace and print its sha256 (for resume-equivalence checks)")
 		flightOut = flag.String("flight", "", "attach the flight recorder and write its anomaly dumps into this directory")
-		crashMs   = flag.Float64("crash-after-ms", 0, "exit(3) after the first checkpoint at or past this virtual time (crash-recovery testing)")
+		crashMs   = flag.Float64("crash-after-ms", 0, "exit(3) after the first checkpoint at or past this virtual time (crash-recovery testing, with -checkpoint-dir)")
 	)
 	flag.Parse()
 
@@ -103,6 +102,16 @@ func main() {
 	}
 	if *ckptDir != "" && *ckptEvery <= 0 {
 		fmt.Fprintln(os.Stderr, "dvsim: -checkpoint-every must be positive")
+		os.Exit(2)
+	}
+	if *crashMs < 0 {
+		fmt.Fprintln(os.Stderr, "dvsim: -crash-after-ms must not be negative")
+		os.Exit(2)
+	}
+	if *crashMs > 0 && *ckptDir == "" {
+		// Without checkpoints no pause ever reaches the crash point, so
+		// the flag would do nothing.
+		fmt.Fprintln(os.Stderr, "dvsim: -crash-after-ms requires -checkpoint-dir")
 		os.Exit(2)
 	}
 	ckpt = checkpointing{dir: *ckptDir, everyMs: *ckptEvery, resume: *resume,
@@ -197,7 +206,9 @@ var flightDir string
 
 // execute runs one configuration, honouring the checkpoint flags: a plain
 // run when checkpointing is off, otherwise a periodically checkpointed run
-// with optional resume and deterministic crash injection.
+// with optional resume and deterministic crash injection. Each checkpoint
+// is a replay marker; every output is written after the run returns, so a
+// resumed run, which replays its prefix, writes all of them.
 func execute(cfg dvsync.Config) (*dvsync.Result, error) {
 	if ckpt.dir == "" {
 		return dvsync.Run(cfg), nil
@@ -216,16 +227,12 @@ func execute(cfg dvsync.Config) (*dvsync.Result, error) {
 		sys = sim.New(cfg)
 	}
 	crashAt := simtime.Time(dvsync.FromMillis(ckpt.crashAfterMs))
-	r, err := sys.RunCheckpointed(simtime.Duration(dvsync.FromMillis(ckpt.everyMs)), func(st *sim.State) error {
-		payload, err := json.Marshal(st)
-		if err != nil {
+	r, err := sys.RunCheckpointed(simtime.Duration(dvsync.FromMillis(ckpt.everyMs)), func(at simtime.Time) error {
+		if err := store.SaveMarker(digest, at); err != nil {
 			return err
 		}
-		if err := store.Save(digest, int64(st.At), nil, payload); err != nil {
-			return err
-		}
-		if ckpt.crashAfterMs > 0 && st.At >= crashAt {
-			fmt.Fprintf(os.Stderr, "dvsim: injected crash after checkpoint at %v\n", st.At)
+		if ckpt.crashAfterMs > 0 && at >= crashAt {
+			fmt.Fprintf(os.Stderr, "dvsim: injected crash after checkpoint at %v\n", at)
 			os.Exit(3)
 		}
 		return nil
@@ -233,18 +240,19 @@ func execute(cfg dvsync.Config) (*dvsync.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A finished run invalidates its snapshots: a later -resume must start
-	// fresh rather than replay a stale tail.
+	// A finished run invalidates its markers: a later -resume must start
+	// fresh rather than resume a finished run.
 	if err := store.Clear(); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// resumeSystem restores a system from the newest decodable snapshot in the
-// store, falling back to a fresh start when the slot is empty.
+// resumeSystem replays a system to the newest usable replay marker in the
+// store, falling back to a fresh start when the slot is empty. A marker
+// for another config, or a payload of another schema, is an error.
 func resumeSystem(cfg dvsync.Config, store *checkpoint.Store, digest string) (*sim.System, error) {
-	env, err := store.Load()
+	at, err := store.LoadMarker(digest)
 	if errors.Is(err, fs.ErrNotExist) {
 		fmt.Fprintf(os.Stderr, "dvsim: no checkpoint for %s in %s, starting fresh\n", cfg.Mode, ckpt.dir)
 		return sim.New(cfg), nil
@@ -252,25 +260,18 @@ func resumeSystem(cfg dvsync.Config, store *checkpoint.Store, digest string) (*s
 	if err != nil {
 		return nil, err
 	}
-	if err := env.VerifyConfig(digest); err != nil {
-		return nil, err
-	}
-	var st sim.State
-	if err := env.DecodeState(&st); err != nil {
-		return nil, err
-	}
-	sys, err := sim.Resume(cfg, &st)
+	sys, err := sim.Resume(cfg, at)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "dvsim: resumed %s from %v\n", cfg.Mode, env.At())
+	fmt.Fprintf(os.Stderr, "dvsim: resumed %s from %v\n", cfg.Mode, at)
 	return sys, nil
 }
 
 // writeFlightDumps seals every anomaly dump the ring captured into
 // -flight/<id>.dump, pinned to the run's config digest. Ids and bytes
-// are deterministic: two identical runs write identical files, and a
-// resumed run writes its post-cut dumps under the straight run's names.
+// are deterministic: two identical runs write identical files, and so
+// does a resumed run, whose replayed prefix takes the early dumps again.
 func writeFlightDumps(ring *dvsync.FlightRing, cfg dvsync.Config) error {
 	if err := os.MkdirAll(flightDir, 0o755); err != nil {
 		return err

@@ -1,16 +1,21 @@
-// Package checkpoint implements the versioned, digest-pinned snapshot
-// format behind deterministic resume (DESIGN.md §12). An envelope wraps an
-// opaque state payload with a magic string, a format version, a digest of
-// the producing configuration, the virtual-time instant of the snapshot,
-// and a content digest over the whole envelope. Decoding verifies all of
-// them with typed errors — a wrong-version, wrong-config, truncated or
-// bit-flipped snapshot is rejected, never misinterpreted and never a
+// Package checkpoint implements the versioned, digest-pinned envelope
+// behind crash recovery and anomaly dumps (DESIGN.md §12, §15). An
+// envelope wraps an opaque payload with a magic string, a format version,
+// a digest of the producing configuration, a virtual-time instant, and a
+// content digest over the whole envelope. Decoding verifies all of them
+// with typed errors — a wrong-version, wrong-config, truncated or
+// bit-flipped envelope is rejected, never misinterpreted and never a
 // panic.
 //
-// The payload is JSON: human-greppable, diffable between two snapshots of
-// the same run, and append-stable under Go's deterministic struct-field
-// encoding, which is what makes byte-identical resume digests testable at
-// all.
+// Two payloads ride in it. A replay marker (EncodeMarker, Store.SaveMarker)
+// carries only its schema: a run is a pure function of its config, so
+// the config digest and the instant are all a resume needs — it replays
+// the run to that instant. An anomaly dump (internal/flight) carries the
+// flight recorder's event window.
+//
+// Payloads are JSON: human-greppable, diffable, and stable under Go's
+// deterministic struct-field encoding, which is what makes byte-identical
+// dump digests testable at all.
 package checkpoint
 
 import (
@@ -30,13 +35,14 @@ import (
 const Magic = "dvsync-checkpoint"
 
 // Version is the current envelope format version. Decoding any other
-// version fails with a VersionError — state layouts are not
-// forward-compatible across format bumps.
+// version fails with a VersionError. Every anomaly dump seals it, so a
+// payload change bumps the payload's own schema (MarkerSchema, the trace
+// schema) and leaves this alone.
 const Version = 1
 
-// MaxSnapshotBytes bounds how much a decoder will read. Snapshots of real
-// simulations are a few megabytes; anything approaching this cap is
-// corrupt or hostile input.
+// MaxSnapshotBytes bounds how much a decoder will read. Markers are a few
+// hundred bytes and dumps of real runs well under a megabyte; anything
+// approaching this cap is corrupt or hostile input.
 const MaxSnapshotBytes = 1 << 28
 
 // ErrNotCheckpoint reports input that is not a checkpoint envelope at all

@@ -17,7 +17,7 @@ import (
 // the previous snapshot to a .prev sibling, then renames into place. Load
 // verifies the current snapshot and falls back to .prev when the current
 // one is corrupt — so a crash mid-Save (or bit rot in the newest file)
-// costs at most one checkpoint interval, never the whole run.
+// costs at most the newest checkpoint, never the whole slot.
 type Store struct {
 	dir  string
 	name string

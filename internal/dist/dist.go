@@ -6,6 +6,10 @@
 // frames are short while a small heavy tail of key frames misses VSync
 // deadlines. The generators here compose a lognormal body with a Pareto tail
 // to reproduce that shape, with per-scenario calibration knobs.
+//
+// A stream is defined by its seed alone. Nothing captures or fast-forwards
+// a stream's position: a simulation resumed after a crash replays its run
+// from the start, so every stream redraws its values in order.
 package dist
 
 import (
@@ -29,8 +33,8 @@ type RNG struct {
 	seed int64
 }
 
-// countingSource counts base draws so a stream's position can be
-// checkpointed as (seed, draws) and restored by fast-forwarding. It
+// countingSource counts base draws, so a test can tell a stream that
+// never drew (and so never seeded a source) from one that did. It
 // deliberately implements only rand.Source — never Source64 — so rand.Rand
 // routes every variate (Float64, Intn, NormFloat64, Perm) through Int63
 // exactly as it does for the plain rand.NewSource it wraps, keeping output
@@ -73,21 +77,13 @@ func New(seed int64) *RNG {
 	return &RNG{r: rand.New(src), src: src, seed: seed}
 }
 
-// NewAt returns the stream for seed positioned after draws base draws —
-// the checkpoint-restore constructor.
-func NewAt(seed int64, draws uint64) *RNG {
-	g := New(seed)
-	g.Skip(draws)
-	return g
-}
-
 // Seed returns the seed the stream was created from.
 func (g *RNG) Seed() int64 { return g.seed }
 
 // Reseed rewinds the stream to the start of the given seed's sequence
 // without allocating — byte-identical to New(seed). It records the seed and
-// zeroes Draws; the first draw (Float64, Intn, NormFloat64, Perm, Skip or
-// the parent draw of Split) seeds the source, so a stream that is rewound
+// zeroes Draws; the first draw (Float64, Intn, NormFloat64, Perm or the
+// parent draw of Split) seeds the source, so a stream that is rewound
 // and never drawn from costs nothing. It is the reuse path's replacement
 // for building a fresh RNG per run. Bypassing rand.Rand.Seed is sound
 // because the only state rand.Rand keeps beside its source is Read's
@@ -99,13 +95,6 @@ func (g *RNG) Reseed(seed int64) {
 
 // Draws returns how many base-source values the stream has consumed.
 func (g *RNG) Draws() uint64 { return g.src.n }
-
-// Skip advances the stream by n base draws without exposing them.
-func (g *RNG) Skip(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		g.src.Int63()
-	}
-}
 
 // Split derives an independent child stream. The label decorrelates children
 // created from the same parent.

@@ -221,7 +221,6 @@ var reseedDraws = []struct {
 		}
 		return out
 	}},
-	{"Skip", func(g *RNG) []float64 { g.Skip(5); return []float64{g.Float64()} }},
 	{"Split", func(g *RNG) []float64 {
 		c := g.Split("child")
 		return []float64{c.Float64(), c.NormFloat64(), g.Float64()}
@@ -241,9 +240,8 @@ func sameDraws(t *testing.T, what string, got, want []float64) {
 }
 
 // TestReseedMatchesNew: a Reseed is deferred to the first draw, yet every
-// entry point sees exactly the stream New would give, and Draws — the
-// checkpointed stream position — reads 0 right after Reseed whether or
-// not the stream had drawn before. New defers its seeding the same way,
+// entry point sees exactly the stream New would give, and Draws reads 0
+// right after Reseed whether or not the stream had drawn before. New defers its seeding the same way,
 // so a stream that never drew — still without a source — reads the same
 // Draws and Seed and is rewound by Reseed like any other.
 func TestReseedMatchesNew(t *testing.T) {
@@ -285,40 +283,6 @@ func TestReseedMatchesNew(t *testing.T) {
 		twice.Reseed(seed + 1)
 		twice.Reseed(seed)
 		sameDraws(t, d.name+" after repeated Reseed", d.draw(twice), want)
-	}
-}
-
-// TestReseedThenSkipMatchesNewAt: fast-forwarding a deferred Reseed is the
-// checkpoint-restore path of a reused Runner, so it must land where NewAt
-// does.
-func TestReseedThenSkipMatchesNewAt(t *testing.T) {
-	for _, n := range []uint64{0, 1, 17, 700} {
-		g := New(3)
-		g.NormFloat64()
-		g.Reseed(11)
-		g.Skip(n)
-		at := NewAt(11, n)
-		if g.Draws() != n || at.Draws() != n {
-			t.Fatalf("Skip(%d): Draws() = %d, NewAt %d", n, g.Draws(), at.Draws())
-		}
-		// A stream New built and never drew skips from its seed too,
-		// before and after a Reseed.
-		undrawn := New(11)
-		undrawn.Skip(n)
-		rewound := New(3)
-		rewound.Reseed(11)
-		rewound.Skip(n)
-		if undrawn.Draws() != n || rewound.Draws() != n {
-			t.Fatalf("Skip(%d) of an undrawn stream: Draws() = %d, after Reseed %d",
-				n, undrawn.Draws(), rewound.Draws())
-		}
-		want := []float64{at.Float64(), at.NormFloat64(), float64(at.Intn(100))}
-		sameDraws(t, "Reseed+Skip vs NewAt",
-			[]float64{g.Float64(), g.NormFloat64(), float64(g.Intn(100))}, want)
-		sameDraws(t, "undrawn New+Skip vs NewAt",
-			[]float64{undrawn.Float64(), undrawn.NormFloat64(), float64(undrawn.Intn(100))}, want)
-		sameDraws(t, "undrawn Reseed+Skip vs NewAt",
-			[]float64{rewound.Float64(), rewound.NormFloat64(), float64(rewound.Intn(100))}, want)
 	}
 }
 

@@ -185,8 +185,7 @@ type Engine struct {
 	// event sharing the earliest timestamp into it with one burst of heap
 	// pops, then dispatches straight off the slice instead of interleaving
 	// a pop (and its free-list churn) with every handler call. It is empty
-	// whenever Run returns, so Pending and the checkpoint capture never see
-	// half-drained instants.
+	// whenever Run returns, so Pending never sees half-drained instants.
 	batch []*item
 
 	instantLimit int
@@ -304,9 +303,9 @@ func (e *Engine) Cancel(id ID) bool {
 // and whether it sits in the heap rather than the dispatch batch; nil when
 // the id has fired, was canceled or was never issued. It scans instead of
 // indexing by ID: a simulation cancels about once per run (stopping the
-// panel) and looks events up only at checkpoint capture, and its live
-// agenda is a handful of entries — one panel edge, a few stage completions
-// per in-flight frame and any delayed signal deliveries.
+// panel), and its live agenda is a handful of entries — one panel edge, a
+// few stage completions per in-flight frame and any delayed signal
+// deliveries.
 func (e *Engine) find(id ID) (*item, bool) {
 	for _, it := range e.events {
 		if it.id == id && !it.canceled {
@@ -343,6 +342,9 @@ func (e *Engine) compact() {
 // Stop makes the current Run call return once the in-flight event handler
 // completes.
 func (e *Engine) Stop() { e.stopped = true }
+
+// Stopped reports whether the last Run call ended via Stop.
+func (e *Engine) Stopped() bool { return e.stopped }
 
 // runInstant drains every event scheduled at instant t into the reused
 // batch slice with one burst of heap pops, then dispatches from the slice.
@@ -412,8 +414,8 @@ func (e *Engine) runInstant(t simtime.Time) {
 		}
 		if e.stopped {
 			// Stop (or the watchdog) must leave undispatched events pending:
-			// callers that drain after stopping (finish's recorder flush,
-			// checkpoint capture) expect them back on the agenda.
+			// callers that inspect the agenda after stopping expect them
+			// back on it.
 			e.spill(i + 1)
 			return
 		}
@@ -465,9 +467,8 @@ func (e *Engine) Run(horizon simtime.Time) {
 // Reset returns the engine to its as-constructed condition — clock at zero,
 // empty agenda, zeroed counters, watchdog re-armed — while keeping the item
 // free list and the heap and batch buffers warm, so a reused engine
-// schedules its next run without allocating. A Reset engine satisfies the
-// same freshness preconditions as a NewEngine (checkpoint.Restore checks
-// them), so pooled runs snapshot and resume exactly like fresh ones.
+// schedules its next run without allocating. A Reset engine dispatches
+// exactly as a NewEngine does, so pooled runs match fresh ones.
 func (e *Engine) Reset() {
 	for i, it := range e.events {
 		e.events[i] = nil

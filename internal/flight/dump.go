@@ -10,12 +10,12 @@ import (
 	"dvsync/internal/trace"
 )
 
-// DumpKind is the meta stamp distinguishing anomaly dumps from plain
-// checkpoints inside the shared envelope format.
+// DumpKind is the meta stamp distinguishing anomaly dumps from replay
+// markers inside the shared envelope format.
 const DumpKind = "flight-dump"
 
 // ErrNotDump reports a valid checkpoint envelope that is not an anomaly
-// dump (a plain simulation checkpoint, or a foreign meta stamp).
+// dump (a replay marker, or a foreign meta stamp).
 var ErrNotDump = errors.New("flight: envelope is not an anomaly dump")
 
 // dumpMeta is the envelope meta payload: enough to list an anomaly
@@ -32,7 +32,7 @@ type dumpMeta struct {
 // run: a config-digest prefix, the dump index, and the trigger kind —
 // e.g. "3f8a2c91b4d0-00-jank-burst". Identical runs yield identical ids,
 // which is what lets fleet cache hits reuse cached dumps. Name a run's
-// dumps through Ring.DumpIDs, which applies the resume offset.
+// dumps through Ring.DumpIDs.
 func DumpID(cfgDigest string, index int, kind TriggerKind) string {
 	prefix := cfgDigest
 	if len(prefix) > 12 {

@@ -7,8 +7,9 @@
 //
 // Everything is a function of virtual time and the event stream: the same
 // run produces the same dumps byte-for-byte at any worker width, from a
-// fresh or reused Runner, and across a checkpoint/resume cut (trigger
-// bookkeeping snapshots into sim.State as sorted slices, never maps).
+// fresh or reused Runner, and across a crash and resume — a resumed run
+// replays its prefix into a fresh ring, so the ring holds no state a
+// checkpoint would need to carry.
 package flight
 
 import (
@@ -119,9 +120,8 @@ type Ring struct {
 	lastAt   simtime.Time
 	haveLast bool
 
-	trig     Triggers
-	dumps    []Dump
-	preDumps int // dumps taken before a checkpoint cut (resume only)
+	trig  Triggers
+	dumps []Dump
 
 	burstDetail string // precomputed jank-burst trigger detail
 }
@@ -219,24 +219,16 @@ func (r *Ring) window() []trace.Event {
 
 // Dumps returns the snapshots taken this run, in trigger order. The
 // snapshots (including their event slices) are valid until the next
-// Reset — a later run recycles their storage. After a checkpoint resume
-// it holds only post-cut snapshots; PreDumps reports how many the
-// straight run had taken by the cut, so dump indices stay aligned
-// between straight and resumed runs.
+// Reset — a later run recycles their storage.
 func (r *Ring) Dumps() []Dump { return r.dumps }
 
-// PreDumps returns the pre-cut dump count after a RestoreState (0 on a
-// straight run).
-func (r *Ring) PreDumps() int { return r.preDumps }
-
 // DumpIDs names the dumps Dumps returns, in the same order: entry i is
-// DumpID(cfgDigest, PreDumps()+i, Dumps()[i].Trigger.Kind), so a resumed
-// run names its post-cut dumps exactly as the straight run does. It is
-// the one place dumps are numbered.
+// DumpID(cfgDigest, i, Dumps()[i].Trigger.Kind). It is the one place
+// dumps are numbered.
 func (r *Ring) DumpIDs(cfgDigest string) []string {
 	ids := make([]string, len(r.dumps))
 	for i := range r.dumps {
-		ids[i] = DumpID(cfgDigest, r.preDumps+i, r.dumps[i].Trigger.Kind)
+		ids[i] = DumpID(cfgDigest, i, r.dumps[i].Trigger.Kind)
 	}
 	return ids
 }
@@ -254,7 +246,6 @@ func (r *Ring) Reset() {
 	r.haveLast, r.lastAt = false, 0
 	r.trig.reset()
 	r.dumps = r.dumps[:0]
-	r.preDumps = 0
 }
 
 // Events returns the retained window, oldest first. The slice is valid
@@ -263,92 +254,3 @@ func (r *Ring) Events() []trace.Event { return r.window() }
 
 // Len returns the retained event count.
 func (r *Ring) Len() int { return r.size }
-
-// Restore replaces the retained window with checkpointed events (the
-// trace.Sink contract). Trigger bookkeeping that cannot be derived from
-// the window alone — jank-burst times, cooldowns, the dump count —
-// resets; checkpoint resume goes through RestoreState instead, which
-// carries all of it.
-func (r *Ring) Restore(events []trace.Event) error {
-	for i := 1; i < len(events); i++ {
-		if events[i].At < events[i-1].At {
-			return fmt.Errorf("flight: restored events out of order at %d", i)
-		}
-	}
-	r.Reset()
-	if n := len(events) - len(r.buf); n > 0 {
-		events = events[n:]
-	}
-	copy(r.buf, events)
-	r.size = len(events)
-	if r.size > 0 {
-		r.lastAt, r.haveLast = events[r.size-1].At, true
-	}
-	return nil
-}
-
-// TriggerMark is one per-kind cooldown entry in a State, kept as a sorted
-// slice (kind order) so serialisation never depends on map order.
-type TriggerMark struct {
-	Kind   TriggerKind  `json:"kind"`
-	LastAt simtime.Time `json:"last_at"`
-}
-
-// State is the ring's checkpoint payload: the retained window plus all
-// trigger bookkeeping, so a resumed run's post-cut trigger stream is a
-// pure continuation of the straight run's.
-type State struct {
-	// Events is the retained window, oldest first.
-	Events []trace.Event `json:"events"`
-	// LastAt / HaveLast pin the order check.
-	LastAt   simtime.Time `json:"last_at"`
-	HaveLast bool         `json:"have_last,omitempty"`
-	// Janks is the jank-burst window contents, oldest first.
-	Janks []simtime.Time `json:"janks,omitempty"`
-	// Cooldowns lists per-kind last-dump instants in fixed kind order.
-	Cooldowns []TriggerMark `json:"cooldowns,omitempty"`
-	// Dumps is how many dumps the run had taken by the cut; it counts
-	// toward MaxDumps on resume. The dumps themselves stay with the
-	// straight run's artifacts — a resumed run reproduces only post-cut
-	// dumps.
-	Dumps int `json:"dumps"`
-}
-
-// CaptureState snapshots the ring for a checkpoint.
-func (r *Ring) CaptureState() *State {
-	st := &State{
-		Events:   append([]trace.Event(nil), r.window()...),
-		LastAt:   r.lastAt,
-		HaveLast: r.haveLast,
-		Dumps:    r.preDumps + len(r.dumps),
-	}
-	r.trig.capture(st)
-	return st
-}
-
-// RestoreState rewinds the ring to a checkpointed state. Pre-cut dumps
-// are accounted (the cap and cooldowns continue) but not rematerialised:
-// Dumps() after resume returns only post-cut snapshots.
-func (r *Ring) RestoreState(st *State) error {
-	if st == nil {
-		return fmt.Errorf("flight: nil state")
-	}
-	if len(st.Events) > len(r.buf) {
-		return fmt.Errorf("flight: state window %d exceeds ring capacity %d", len(st.Events), len(r.buf))
-	}
-	if len(st.Janks) > len(r.trig.jank) {
-		return fmt.Errorf("flight: state jank window %d exceeds burst size %d", len(st.Janks), len(r.trig.jank))
-	}
-	if st.Dumps < 0 || st.Dumps > r.cfg.MaxDumps {
-		return fmt.Errorf("flight: state dump count %d outside [0, %d]", st.Dumps, r.cfg.MaxDumps)
-	}
-	if err := r.Restore(st.Events); err != nil {
-		return err
-	}
-	r.lastAt, r.haveLast = st.LastAt, st.HaveLast
-	if err := r.trig.restore(st); err != nil {
-		return err
-	}
-	r.preDumps = st.Dumps
-	return nil
-}

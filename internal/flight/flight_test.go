@@ -165,88 +165,6 @@ func TestResetRecyclesDumpStorage(t *testing.T) {
 	}
 }
 
-// TestStateRoundTrip: capture/restore carries the full trigger
-// bookkeeping — the resumed ring suppresses a re-trigger inside the
-// cooldown, counts pre-cut dumps against the cap, and continues the
-// jank window mid-burst.
-func TestStateRoundTrip(t *testing.T) {
-	cfg := Config{JankBurst: 3, JankWindow: 100 * simtime.Millisecond,
-		Cooldown: 500 * simtime.Millisecond, MaxDumps: 2}
-	straight := New(cfg)
-	resumed := New(cfg)
-	for i, at := range []int64{0, 40, 80} { // burst -> dump 0, cooldown starts
-		straight.Add(ev(at, trace.Jank, i, ""))
-	}
-	if err := resumed.RestoreState(straight.CaptureState()); err != nil {
-		t.Fatal(err)
-	}
-	if got := resumed.PreDumps(); got != 1 {
-		t.Fatalf("PreDumps after restore = %d, want 1", got)
-	}
-	if !reflect.DeepEqual(resumed.Events(), straight.Events()) {
-		t.Fatal("restored window differs from the straight run's")
-	}
-	// Both continue identically: a burst at 120 ms is inside the cooldown
-	// (suppressed), one at 700/740/780 ms fires — and hits the cap.
-	tail := []int64{120, 700, 740, 780, 1400, 1440, 1480}
-	for i, at := range tail {
-		straight.Add(ev(at, trace.Jank, 10+i, ""))
-		resumed.Add(ev(at, trace.Jank, 10+i, ""))
-	}
-	if len(straight.Dumps()) != 2 {
-		t.Fatalf("straight run took %d dumps, want 2 (cap)", len(straight.Dumps()))
-	}
-	post := straight.Dumps()[1:]
-	if !reflect.DeepEqual(resumed.Dumps(), post) {
-		t.Errorf("resumed post-cut dumps differ from the straight run's:\nresumed  %+v\nstraight %+v",
-			resumed.Dumps(), post)
-	}
-}
-
-// TestRestoreStateRejectsCorruptState: every validated field of a State
-// is actually validated.
-func TestRestoreStateRejectsCorruptState(t *testing.T) {
-	base := func() *State {
-		r := New(Config{JankBurst: 2, JankWindow: simtime.Second})
-		r.Add(ev(0, trace.Jank, 0, ""))
-		r.Add(ev(10, trace.Jank, 1, ""))
-		return r.CaptureState()
-	}
-	cases := []struct {
-		name   string
-		mutate func(*State)
-	}{
-		{"events out of order", func(st *State) {
-			st.Events[0], st.Events[1] = st.Events[1], st.Events[0]
-		}},
-		{"window exceeds capacity", func(st *State) {
-			st.Events = make([]trace.Event, DefaultCapacity+1)
-		}},
-		{"jank window exceeds burst", func(st *State) {
-			st.Janks = append(st.Janks, st.Janks...)
-		}},
-		{"janks out of order", func(st *State) {
-			st.Janks[0], st.Janks[1] = st.Janks[1], st.Janks[0]
-		}},
-		{"negative dump count", func(st *State) { st.Dumps = -1 }},
-		{"dump count over cap", func(st *State) { st.Dumps = DefaultMaxDumps + 1 }},
-		{"unknown cooldown kind", func(st *State) {
-			st.Cooldowns = append(st.Cooldowns, TriggerMark{Kind: "meteor-strike"})
-		}},
-	}
-	for _, tc := range cases {
-		st := base()
-		tc.mutate(st)
-		r := New(Config{JankBurst: 2, JankWindow: simtime.Second})
-		if err := r.RestoreState(st); err == nil {
-			t.Errorf("%s: RestoreState accepted the corrupt state", tc.name)
-		}
-	}
-	if err := (&Ring{}).RestoreState(nil); err == nil {
-		t.Error("nil state accepted")
-	}
-}
-
 // TestDumpIDShape: ids are digest-prefixed, zero-padded, and kind-tagged.
 func TestDumpIDShape(t *testing.T) {
 	got := DumpID("3f8a2c91b4d0ffffffff", 7, TriggerJankBurst)
@@ -255,29 +173,6 @@ func TestDumpIDShape(t *testing.T) {
 	}
 	if short := DumpID("ab", 0, TriggerWatchdog); short != "ab-00-watchdog" {
 		t.Errorf("short-digest DumpID = %q", short)
-	}
-}
-
-// TestDumpIDsContinueAfterResume: a ring restored from a state that had
-// taken k dumps names its first post-cut dump with index k, as the
-// straight run does, so a resumed run never reuses a pre-cut dump's id.
-func TestDumpIDsContinueAfterResume(t *testing.T) {
-	const digest = "3f8a2c91b4d0ffffffff"
-	r := New(Config{})
-	if ids := r.DumpIDs(digest); len(ids) != 0 {
-		t.Fatalf("a ring with no dumps names %v", ids)
-	}
-	const k = 3
-	if err := r.RestoreState(&State{Dumps: k}); err != nil {
-		t.Fatal(err)
-	}
-	r.Add(ev(500, trace.FaultOnset, -1, "class=stall"))
-	ids := r.DumpIDs(digest)
-	if len(ids) != 1 || len(r.Dumps()) != 1 {
-		t.Fatalf("one trigger after resume: %d ids, %d dumps, want 1", len(ids), len(r.Dumps()))
-	}
-	if want := DumpID(digest, k, TriggerFaultOnset); ids[0] != want {
-		t.Errorf("first post-cut id %q, want %q", ids[0], want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package flight
 
 import (
-	"fmt"
 	"strings"
 
 	"dvsync/internal/simtime"
@@ -16,11 +15,6 @@ const (
 	idxFaultOnset
 	numTriggers
 )
-
-// triggerKinds maps slots back to kinds, in slot order.
-var triggerKinds = [numTriggers]TriggerKind{
-	TriggerWatchdog, TriggerFallback, TriggerJankBurst, TriggerFaultOnset,
-}
 
 // Triggers holds the recorder's trigger rules, and is their only
 // implementation: which events are symptoms, the jank-burst window, the
@@ -39,7 +33,7 @@ type Triggers struct {
 
 	lastDump [numTriggers]simtime.Time
 	haveDump [numTriggers]bool
-	taken    int // dumps taken this run, pre-cut ones included
+	taken    int // dumps taken this run
 }
 
 // NewTriggers returns the trigger rules of cfg, zero fields defaulted,
@@ -110,59 +104,4 @@ func (t *Triggers) reset() {
 	t.jankPos, t.jankSeen = 0, 0
 	t.lastDump, t.haveDump = [numTriggers]simtime.Time{}, [numTriggers]bool{}
 	t.taken = 0
-}
-
-// capture writes the jank window, oldest first, and the cooldowns, in
-// slot order, into a checkpoint State.
-func (t *Triggers) capture(st *State) {
-	if t.jankSeen > 0 {
-		st.Janks = make([]simtime.Time, 0, t.jankSeen)
-		start := t.jankPos - t.jankSeen
-		if start < 0 {
-			start += len(t.jank)
-		}
-		for i := 0; i < t.jankSeen; i++ {
-			j := start + i
-			if j >= len(t.jank) {
-				j -= len(t.jank)
-			}
-			st.Janks = append(st.Janks, t.jank[j])
-		}
-	}
-	for i := 0; i < numTriggers; i++ {
-		if t.haveDump[i] {
-			st.Cooldowns = append(st.Cooldowns, TriggerMark{Kind: triggerKinds[i], LastAt: t.lastDump[i]})
-		}
-	}
-}
-
-// restore loads capture's output and the pre-cut dump count onto reset
-// rules. The caller has bounded len(st.Janks) and st.Dumps.
-func (t *Triggers) restore(st *State) error {
-	for i, at := range st.Janks {
-		if i > 0 && at < st.Janks[i-1] {
-			return fmt.Errorf("flight: state janks out of order at %d", i)
-		}
-		t.jank[i] = at
-	}
-	t.jankSeen = len(st.Janks)
-	t.jankPos = t.jankSeen
-	if t.jankPos == len(t.jank) {
-		t.jankPos = 0
-	}
-	for _, cd := range st.Cooldowns {
-		idx := -1
-		for i, k := range triggerKinds {
-			if k == cd.Kind {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return fmt.Errorf("flight: state cooldown for unknown trigger %q", cd.Kind)
-		}
-		t.lastDump[idx], t.haveDump[idx] = cd.LastAt, true
-	}
-	t.taken = st.Dumps
-	return nil
 }

@@ -56,36 +56,6 @@ func (w *Welford) Min() float64 { return w.min }
 // Max returns the largest observation (0 when empty).
 func (w *Welford) Max() float64 { return w.max }
 
-// WelfordState is the serialisable snapshot of a Welford accumulator. Go's
-// JSON encoding round-trips float64 exactly (shortest representation), so a
-// restored accumulator continues bit-identically.
-type WelfordState struct {
-	N          int     `json:"n"`
-	Mean       float64 `json:"mean"`
-	M2         float64 `json:"m2"`
-	Min        float64 `json:"min"`
-	Max        float64 `json:"max"`
-	HasExtrema bool    `json:"has_extrema,omitempty"`
-}
-
-// State captures the accumulator for a checkpoint.
-func (w *Welford) State() WelfordState {
-	return WelfordState{N: w.n, Mean: w.mean, M2: w.m2, Min: w.min, Max: w.max, HasExtrema: w.hasExtrema}
-}
-
-// Restore overwrites the accumulator with a checkpointed state.
-func (w *Welford) Restore(st WelfordState) error {
-	if st.N < 0 {
-		return fmt.Errorf("metrics: negative welford count %d", st.N)
-	}
-	if st.N > 0 != st.HasExtrema {
-		return fmt.Errorf("metrics: welford count %d inconsistent with extrema flag %t", st.N, st.HasExtrema)
-	}
-	w.n, w.mean, w.m2 = st.N, st.Mean, st.M2
-	w.min, w.max, w.hasExtrema = st.Min, st.Max, st.HasExtrema
-	return nil
-}
-
 // Summary is a five-number-style description of a sample. On an empty
 // sample (N == 0) every statistic is NaN — check Valid before formatting.
 type Summary struct {

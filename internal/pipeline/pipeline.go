@@ -54,9 +54,8 @@ type Producer struct {
 	// (time, priority) events in insertion order, so the head of each queue
 	// is always the frame the next dispatch belongs to — which lets a single
 	// persistent handler replace the two per-frame closures TryStart used to
-	// allocate. Each entry carries its event ID so checkpoints can capture
-	// the scheduled completions.
-	uiPending []uiEntry
+	// allocate.
+	uiPending []*buffer.Frame
 	rsPending []rsEntry
 	uiDoneFn  event.Handler
 	rsDoneFn  event.Handler
@@ -79,21 +78,13 @@ type Producer struct {
 	started  int
 	executed simtime.Duration // total stage time spent
 	overhead simtime.Duration // total bookkeeping time spent
-	frames   []*buffer.Frame  // all frames started, by start order
-}
-
-// uiEntry is one scheduled UI-stage completion.
-type uiEntry struct {
-	f  *buffer.Frame
-	id event.ID
 }
 
 // rsEntry pairs a frame with the buffer it renders into, for the RS-done
 // dispatch queue.
 type rsEntry struct {
-	f  *buffer.Frame
-	b  *buffer.Buffer
-	id event.ID
+	f *buffer.Frame
+	b *buffer.Buffer
 }
 
 // NewProducer builds a producer over the given queue and workload trace.
@@ -109,9 +100,8 @@ func NewProducer(e *event.Engine, q *buffer.Queue, t *workload.Trace) *Producer 
 		trace:      t,
 		arena:      make([]buffer.Frame, t.Len()),
 		startedIdx: make([]bool, t.Len()),
-		frames:     make([]*buffer.Frame, 0, t.Len()),
 		inflight:   make([]*buffer.Frame, 0, 8),
-		uiPending:  make([]uiEntry, 0, 8),
+		uiPending:  make([]*buffer.Frame, 0, 8),
 		rsPending:  make([]rsEntry, 0, 8),
 	}
 	p.uiDoneFn = p.dispatchUIDone
@@ -121,9 +111,8 @@ func NewProducer(e *event.Engine, q *buffer.Queue, t *workload.Trace) *Producer 
 
 // Reset re-arms the producer for another run over tr, reusing the frame
 // arena and pending queues when their capacity allows. Handlers and hooks
-// wired at construction persist. A reset producer satisfies the
-// checkpoint-restore precondition (no started frames), so pooled runs
-// snapshot exactly like fresh ones.
+// wired at construction persist. A reset producer has no started frames,
+// so pooled runs match fresh ones.
 //
 //dvlint:hotpath runs once per reused run
 func (p *Producer) Reset(tr *workload.Trace) {
@@ -148,16 +137,8 @@ func (p *Producer) Reset(tr *workload.Trace) {
 		p.inflight[i] = nil
 	}
 	p.inflight = p.inflight[:0]
-	if cap(p.frames) < n {
-		//dvlint:ignore hotalloc same grow path as the arena above
-		p.frames = make([]*buffer.Frame, 0, n)
-	}
-	for i := range p.frames {
-		p.frames[i] = nil
-	}
-	p.frames = p.frames[:0]
 	for i := range p.uiPending {
-		p.uiPending[i] = uiEntry{}
+		p.uiPending[i] = nil
 	}
 	p.uiPending = p.uiPending[:0]
 	for i := range p.rsPending {
@@ -171,7 +152,7 @@ func (p *Producer) Reset(tr *workload.Trace) {
 
 // dispatchUIDone completes the oldest pending UI stage.
 func (p *Producer) dispatchUIDone(t simtime.Time) {
-	f := p.uiPending[0].f
+	f := p.uiPending[0]
 	copy(p.uiPending, p.uiPending[1:])
 	p.uiPending = p.uiPending[:len(p.uiPending)-1]
 	if p.OnUIDone != nil {
@@ -214,9 +195,6 @@ func (p *Producer) Ahead() int { return p.queue.QueuedCount() + len(p.inflight) 
 
 // Started returns how many frames have been started.
 func (p *Producer) Started() int { return p.started }
-
-// Frames returns every started frame in start order.
-func (p *Producer) Frames() []*buffer.Frame { return p.frames }
 
 // ExecutedWork returns total stage time executed.
 func (p *Producer) ExecutedWork() simtime.Duration { return p.executed }
@@ -301,14 +279,13 @@ func (p *Producer) TryStart(now simtime.Time, req StartRequest) *buffer.Frame {
 	p.rsBusyUntil = f.RSDone
 
 	p.inflight = append(p.inflight, f)
-	p.frames = append(p.frames, f)
 	p.started++
 	p.executed += cost.UI + cost.RS
 	p.overhead += p.PerFrameOverhead
 
-	uiID := p.engine.At(f.UIDone, event.PriorityPipeline, p.uiDoneFn)
-	p.uiPending = append(p.uiPending, uiEntry{f: f, id: uiID})
-	rsID := p.engine.At(f.RSDone, event.PriorityPipeline, p.rsDoneFn)
-	p.rsPending = append(p.rsPending, rsEntry{f: f, b: b, id: rsID})
+	p.engine.At(f.UIDone, event.PriorityPipeline, p.uiDoneFn)
+	p.uiPending = append(p.uiPending, f)
+	p.engine.At(f.RSDone, event.PriorityPipeline, p.rsDoneFn)
+	p.rsPending = append(p.rsPending, rsEntry{f: f, b: b})
 	return f
 }

@@ -69,13 +69,6 @@ type Event struct {
 // Listener receives signal events.
 type Listener func(Event)
 
-// pendingDelivery is one scheduled-but-undelivered offset signal, tracked so
-// a checkpoint can capture the delayed deliveries in flight.
-type pendingDelivery struct {
-	ev Event
-	id event.ID
-}
-
 // Distributor fans hardware edges out to offset software signals.
 type Distributor struct {
 	engine    *event.Engine
@@ -83,7 +76,6 @@ type Distributor struct {
 	listeners [numKinds][]Listener
 	delivered [numKinds]uint64
 	delay     func(k Kind, at simtime.Time) simtime.Duration
-	pending   []*pendingDelivery
 }
 
 // NewDistributor creates a distributor with the given per-signal offsets.
@@ -122,15 +114,11 @@ func (d *Distributor) SetDelay(fn func(k Kind, at simtime.Time) simtime.Duration
 // Delivered returns how many events of kind k have been delivered.
 func (d *Distributor) Delivered(k Kind) uint64 { return d.delivered[k] }
 
-// Reset clears the delivery counters and the delayed-delivery in-flight
-// list. Subscriptions, offsets and the delay hook persist; the caller's
-// engine reset has already dropped any scheduled deliveries.
+// Reset clears the delivery counters. Subscriptions, offsets and the
+// delay hook persist; the caller's engine reset has already dropped any
+// scheduled deliveries.
 func (d *Distributor) Reset() {
 	d.delivered = [numKinds]uint64{}
-	for i := range d.pending {
-		d.pending[i] = nil
-	}
-	d.pending = d.pending[:0]
 }
 
 // fanoutKinds are the software signals derived from each hardware edge, in
@@ -161,31 +149,10 @@ func (d *Distributor) OnHWEdge(now simtime.Time, seq uint64, period simtime.Dura
 		// A FIFO-plus-persistent-handler cannot replace this closure: the
 		// fault delay hook makes per-kind delivery times non-monotone, so
 		// dispatch order need not match schedule order. Zero-offset signals
-		// (the steady-state benchmark path) never reach here. The entry is
-		// tracked in d.pending so checkpoints capture deliveries in flight.
+		// (the steady-state benchmark path) never reach here.
 		//dvlint:ignore hotalloc delayed delivery must capture its event; only non-zero-offset configs pay it
-		pe := &pendingDelivery{ev: ev}
-		//dvlint:ignore hotalloc same non-zero-offset-only path as the entry above
-		pe.id = d.engine.At(ev.At, event.PrioritySignal, func(simtime.Time) { d.deliverPending(pe) })
-		d.pending = append(d.pending, pe)
+		d.engine.At(ev.At, event.PrioritySignal, func(simtime.Time) { d.deliver(ev) })
 	}
-}
-
-// deliverPending removes a delayed delivery from the in-flight list and
-// delivers it. The list is at most a few entries (one per offset signal per
-// outstanding edge), so the removal scan is cheap.
-//
-//dvlint:hotpath runs once per delayed software signal
-func (d *Distributor) deliverPending(pe *pendingDelivery) {
-	for i, q := range d.pending {
-		if q == pe {
-			copy(d.pending[i:], d.pending[i+1:])
-			d.pending[len(d.pending)-1] = nil
-			d.pending = d.pending[:len(d.pending)-1]
-			break
-		}
-	}
-	d.deliver(pe.ev)
 }
 
 // InjectDVSync delivers a decoupled D-VSync event immediately. The FPE calls

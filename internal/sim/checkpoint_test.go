@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -214,46 +213,71 @@ func straightDigest(mk func() Config) (string, error) {
 	return outputsDigest(cfg, res)
 }
 
-// resumedDigest runs a scenario to cut, seals the snapshot through a real
-// checkpoint envelope (JSON payload, digest verification included), then
-// resumes a second, freshly wired system from the decoded state and runs
-// it to completion.
-func resumedDigest(mk func() Config, cut simtime.Time) (string, error) {
-	cfg1 := mk()
-	st, err := New(cfg1).Snapshot(cut)
-	if err != nil {
-		return "", fmt.Errorf("snapshot at %v: %w", cut, err)
+// errPaused aborts pauseAt's checkpointed run at its first pause.
+var errPaused = errors.New("paused")
+
+// pauseAt runs sys checkpointed until its first pause at cut, as a run
+// that crashes right after writing its first marker does, and returns the
+// instant the pause handed the callback.
+func pauseAt(sys *System, cut simtime.Time) (simtime.Time, error) {
+	var at simtime.Time
+	_, err := sys.RunCheckpointed(simtime.Duration(cut), func(t simtime.Time) error {
+		at = t
+		return errPaused
+	})
+	if !errors.Is(err, errPaused) {
+		return 0, fmt.Errorf("run ended before its pause at %v (err %v)", cut, err)
 	}
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return "", fmt.Errorf("marshal state: %w", err)
+	if at != cut {
+		return 0, fmt.Errorf("paused at %v, want %v", at, cut)
 	}
+	return at, nil
+}
+
+// resumeFromMarker seals the replay marker a run of cfgDigest paused at
+// at leaves behind into a real checkpoint envelope, decodes it, checks it
+// against a freshly built config (Marker runs VerifyConfig), and resumes
+// a fresh system from the marker's instant.
+func resumeFromMarker(mk func() Config, cfgDigest string, at simtime.Time) (*System, Config, error) {
 	var buf bytes.Buffer
-	if err := checkpoint.Encode(&buf, ConfigDigest(cfg1), st.At, nil, payload); err != nil {
-		return "", fmt.Errorf("encode envelope: %w", err)
+	if err := checkpoint.EncodeMarker(&buf, cfgDigest, at); err != nil {
+		return nil, Config{}, fmt.Errorf("encode marker: %w", err)
 	}
 	env, err := checkpoint.Decode(&buf)
 	if err != nil {
-		return "", fmt.Errorf("decode envelope: %w", err)
+		return nil, Config{}, fmt.Errorf("decode marker: %w", err)
 	}
-	cfg2 := mk()
-	if err := env.VerifyConfig(ConfigDigest(cfg2)); err != nil {
-		return "", err
-	}
-	var st2 State
-	if err := env.DecodeState(&st2); err != nil {
-		return "", err
-	}
-	sys, err := Resume(cfg2, &st2)
+	cfg := mk()
+	at, err = env.Marker(ConfigDigest(cfg))
 	if err != nil {
-		return "", fmt.Errorf("resume at %v: %w", cut, err)
+		return nil, Config{}, err
+	}
+	sys, err := Resume(cfg, at)
+	if err != nil {
+		return nil, Config{}, fmt.Errorf("resume at %v: %w", at, err)
+	}
+	return sys, cfg, nil
+}
+
+// resumedDigest runs a scenario until its checkpoint pause at cut, then
+// resumes a second, freshly wired system through the marker that pause
+// would write and runs it to completion.
+func resumedDigest(mk func() Config, cut simtime.Time) (string, error) {
+	cfg1 := mk()
+	at, err := pauseAt(New(cfg1), cut)
+	if err != nil {
+		return "", err
+	}
+	sys, cfg2, err := resumeFromMarker(mk, ConfigDigest(cfg1), at)
+	if err != nil {
+		return "", err
 	}
 	return outputsDigest(cfg2, sys.Run())
 }
 
-// TestResumeEqualsStraightRun is the tentpole contract: for every golden
-// scenario and every snapshot instant, run(0→T) and
-// run(0→t)+snapshot+resume(t→T) produce byte-identical trace, Perfetto,
+// TestResumeEqualsStraightRun is the resume contract: for every golden
+// scenario and every cut instant, run(0→T) and
+// run(0→t)+marker+resume(t→T) produce byte-identical trace, Perfetto,
 // telemetry and result digests.
 func TestResumeEqualsStraightRun(t *testing.T) {
 	for _, sc := range ckptScenarios() {
@@ -276,8 +300,8 @@ func TestResumeEqualsStraightRun(t *testing.T) {
 }
 
 // TestResumeEquivalenceAcrossWorkers re-checks the contract at -workers 1
-// and 4: the checkpoint pipeline shares no state across goroutines, so
-// digests must not depend on the parallel width the sweep runs under.
+// and 4: the resume path shares no state across goroutines, so digests
+// must not depend on the parallel width the sweep runs under.
 func TestResumeEquivalenceAcrossWorkers(t *testing.T) {
 	scs := ckptScenarios()
 	type out struct {
@@ -317,9 +341,9 @@ func TestResumeEquivalenceAcrossWorkers(t *testing.T) {
 }
 
 // TestRunCheckpointedMatchesRun drives the periodic auto-checkpointing
-// loop: snapshots every 100 virtual ms must not perturb the run, every
-// captured state must resume to the same final digest, and the store
-// rotation must leave a loadable latest snapshot.
+// loop: pausing every 100 virtual ms to seal a marker must not perturb
+// the run, and the store rotation must leave a loadable latest marker
+// that resumes to the same final digest.
 func TestRunCheckpointedMatchesRun(t *testing.T) {
 	mk := func() Config { return faultedCkptConfig(ModeDVSync) }
 	want, err := straightDigest(mk)
@@ -334,19 +358,20 @@ func TestRunCheckpointedMatchesRun(t *testing.T) {
 	}
 	cfgDigest := ConfigDigest(cfg)
 	var snaps int
-	res, err := New(cfg).RunCheckpointed(100*simtime.Millisecond, func(st *State) error {
+	var last simtime.Time
+	res, err := New(cfg).RunCheckpointed(100*simtime.Millisecond, func(at simtime.Time) error {
 		snaps++
-		payload, err := json.Marshal(st)
-		if err != nil {
-			return err
-		}
-		return store.Save(cfgDigest, int64(st.At), nil, payload)
+		last = at
+		return store.SaveMarker(cfgDigest, at)
 	})
 	if err != nil {
 		t.Fatalf("checkpointed run: %v", err)
 	}
 	if snaps < 10 {
-		t.Fatalf("expected tens of periodic snapshots, got %d", snaps)
+		t.Fatalf("expected tens of periodic markers, got %d", snaps)
+	}
+	if want := simtime.Time(0).Add(simtime.Duration(snaps) * 100 * simtime.Millisecond); last != want {
+		t.Errorf("last pause at %v, want %v on the 100 ms grid", last, want)
 	}
 	got, err := outputsDigest(cfg, res)
 	if err != nil {
@@ -356,19 +381,15 @@ func TestRunCheckpointedMatchesRun(t *testing.T) {
 		t.Errorf("checkpointed run digest %s != straight %s", got, want)
 	}
 
-	env, err := store.Load()
-	if err != nil {
-		t.Fatalf("loading last snapshot: %v", err)
-	}
-	if err := env.VerifyConfig(cfgDigest); err != nil {
-		t.Fatal(err)
-	}
-	var st State
-	if err := env.DecodeState(&st); err != nil {
-		t.Fatal(err)
-	}
 	cfg2 := mk()
-	sys, err := Resume(cfg2, &st)
+	at, err := store.LoadMarker(ConfigDigest(cfg2))
+	if err != nil {
+		t.Fatalf("loading last marker: %v", err)
+	}
+	if at != last {
+		t.Errorf("store holds a marker at %v, want the last pause %v", at, last)
+	}
+	sys, err := Resume(cfg2, at)
 	if err != nil {
 		t.Fatalf("resume from store: %v", err)
 	}
@@ -383,8 +404,8 @@ func TestRunCheckpointedMatchesRun(t *testing.T) {
 
 // TestSnapshotMidFallback pins the awkwardest checkpoint instant of the
 // robustness stack: while the supervisor holds the system on the VSync
-// channel. The snapshot must carry the tripped state and resume must
-// reproduce the recovery transition at the same instant.
+// channel. The replayed system must stand in the tripped state at the cut
+// and go on to reproduce the recovery transition at the same instant.
 func TestSnapshotMidFallback(t *testing.T) {
 	mk := func() Config { return faultedCkptConfig(ModeDVSync) }
 	cfg := mk()
@@ -404,21 +425,26 @@ func TestSnapshotMidFallback(t *testing.T) {
 	if !found {
 		t.Fatal("scenario produced no fallback trip; pick a harsher fault config")
 	}
-	st, err := New(mk()).Snapshot(cut)
+	cfg1 := mk()
+	at, err := pauseAt(New(cfg1), cut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Driver.FallbackActive {
-		t.Errorf("snapshot at %v should be inside the fallback window", cut)
+	sys, cfg2, err := resumeFromMarker(mk, ConfigDigest(cfg1), at)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Health == nil || !st.Health.Tripped {
-		t.Errorf("snapshot at %v should carry a tripped health monitor", cut)
+	if !sys.fallbackActive {
+		t.Errorf("system replayed to %v should be inside the fallback window", cut)
+	}
+	if sys.monitor == nil || !sys.monitor.Tripped() {
+		t.Errorf("system replayed to %v should hold a tripped health monitor", cut)
 	}
 	want, err := straightDigest(mk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := resumedDigest(mk, cut)
+	got, err := outputsDigest(cfg2, sys.Run())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,8 +454,8 @@ func TestSnapshotMidFallback(t *testing.T) {
 }
 
 // TestSnapshotMidFaultEpisode checkpoints inside active fault episodes
-// (stall at 900ms, drift at 3s): the injector's per-class RNG streams must
-// restore to the exact draw position.
+// (stall at 900ms, jitter at 1.7s, drift at 3s): the replay must leave the
+// injector's per-class RNG streams at the straight run's draw position.
 func TestSnapshotMidFaultEpisode(t *testing.T) {
 	mk := func() Config { return faultedCkptConfig(ModeDVSync) }
 	want, err := straightDigest(mk)
@@ -437,12 +463,12 @@ func TestSnapshotMidFaultEpisode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []simtime.Time{msT(900), msT(1700), msT(3000)} {
-		st, err := New(mk()).Snapshot(cut)
-		if err != nil {
-			t.Fatalf("snapshot at %v: %v", cut, err)
+		inside := false
+		for _, ref := range mk().Faults.Episodes() {
+			inside = inside || (ref.Episode.Start <= cut && cut < ref.Episode.End)
 		}
-		if st.Fault == nil {
-			t.Fatalf("snapshot at %v carries no injector state", cut)
+		if !inside {
+			t.Fatalf("cut %v lies outside every fault episode", cut)
 		}
 		got, err := resumedDigest(mk, cut)
 		if err != nil {
@@ -493,7 +519,7 @@ func TestSnapshotOnRateChangeEdge(t *testing.T) {
 	}
 }
 
-// TestSnapshotSweep slides the snapshot instant across a whole scenario in
+// TestSnapshotSweep slides the cut instant across a whole scenario in
 // coarse steps — every quiescent boundary must satisfy the contract, not
 // just hand-picked ones.
 func TestSnapshotSweep(t *testing.T) {
@@ -517,50 +543,52 @@ func TestSnapshotSweep(t *testing.T) {
 	}
 }
 
-// TestSnapshotErrors pins the misuse surface: past instants, finished
-// runs, and resume under a mismatched configuration all return typed
-// errors, never panic.
+// TestSnapshotErrors pins the misuse surface: an invalid config, a
+// negative instant, a marker for another config and a bad checkpoint
+// interval all return errors, never panic; a marker past the end of the
+// run replays the whole run.
 func TestSnapshotErrors(t *testing.T) {
 	mk := ckptScenarios()[0].mk
-	sys := New(mk())
-	if _, err := sys.Snapshot(msT(1000)); err != nil {
+	bad := mk()
+	bad.Buffers = 1
+	if _, err := Resume(bad, msT(1000)); err == nil {
+		t.Error("resume under an invalid config should fail")
+	}
+	if _, err := Resume(mk(), -1); err == nil {
+		t.Error("resume at a negative instant should fail")
+	}
+	var buf bytes.Buffer
+	if err := checkpoint.EncodeMarker(&buf, ConfigDigest(mk()), msT(1000)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Snapshot(msT(500)); err == nil {
-		t.Error("snapshot in the past should fail")
-	}
-	if res := sys.Run(); res == nil || !res.Completed {
-		t.Fatal("run after snapshot should complete")
-	}
-	if _, err := sys.Snapshot(simtime.Time(1 << 62)); err == nil {
-		t.Error("snapshot after completion should fail")
-	}
-	// A finished run with a registry has no sampling boundaries left.
-	withMetrics := mk()
-	withMetrics.Metrics = telemetry.NewRegistry()
-	sys = New(withMetrics)
-	sys.Run()
-	if _, err := sys.Snapshot(simtime.Time(1 << 62)); !errors.Is(err, ErrRunFinished) {
-		t.Errorf("snapshot after a completed run with a registry: %v, want ErrRunFinished", err)
-	}
-
-	st, err := New(mk()).Snapshot(msT(1000))
+	env, err := checkpoint.Decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wrong wiring: the snapshot has no telemetry state but the config
-	// wires a registry.
+	other := mk()
+	other.Metrics = telemetry.NewRegistry()
+	var de *checkpoint.DigestError
+	if _, err := env.Marker(ConfigDigest(other)); !errors.As(err, &de) {
+		t.Errorf("marker under a config with different wiring: %v, want a DigestError", err)
+	}
+	noop := func(simtime.Time) error { return nil }
+	if _, err := New(mk()).RunCheckpointed(0, noop); err == nil {
+		t.Error("a zero checkpoint interval should fail")
+	}
+	if _, err := New(mk()).RunCheckpointed(simtime.Second, nil); err == nil {
+		t.Error("RunCheckpointed without a callback should fail")
+	}
+
+	want, err := straightDigest(mk)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := mk()
-	cfg.Metrics = telemetry.NewRegistry()
-	if _, err := Resume(cfg, st); err == nil {
-		t.Error("resume with mismatched component wiring should fail")
+	sys, err := Resume(cfg, simtime.Time(1<<62))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Resume(mk(), nil); err == nil {
-		t.Error("resume from nil state should fail")
-	}
-	// A mangled frame reference must surface as an error, not a panic.
-	st.Accum.PresentedSeqs = append(st.Accum.PresentedSeqs, 99999)
-	if _, err := Resume(mk(), st); err == nil {
-		t.Error("resume with a dangling frame reference should fail")
+	if got, err := outputsDigest(cfg, sys.Run()); err != nil || got != want {
+		t.Errorf("resume past the end: digest %s (err %v), want the straight run's %s", got, err, want)
 	}
 }

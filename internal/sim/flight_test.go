@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"dvsync/internal/fault"
@@ -279,10 +279,10 @@ func TestFlightDumpsDeterministic(t *testing.T) {
 	}
 }
 
-// TestFlightDumpsSurviveResume: a run resumed from a mid-run checkpoint
-// reproduces the straight run's post-cut dumps byte for byte, with ids
-// aligned through the PreDumps offset; pre-cut dumps stay with the
-// straight run's artifacts.
+// TestFlightDumpsSurviveResume: a run resumed from a mid-run marker
+// replays its prefix into a fresh ring, so it takes every dump the
+// straight run takes, pre-cut ones included: the same ids in the same
+// order, and the same sealed bytes.
 func TestFlightDumpsSurviveResume(t *testing.T) {
 	for _, sc := range ckptScenarios() {
 		sc := sc
@@ -298,38 +298,24 @@ func TestFlightDumpsSurviveResume(t *testing.T) {
 			}
 			for _, cut := range sc.cuts {
 				cfg1 := mk()
-				st, err := New(cfg1).Snapshot(cut)
-				if err != nil {
-					t.Fatalf("snapshot at %v: %v", cut, err)
-				}
-				payload, err := json.Marshal(st)
+				at, err := pauseAt(New(cfg1), cut)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg2 := mk()
-				var st2 State
-				if err := json.Unmarshal(payload, &st2); err != nil {
-					t.Fatal(err)
-				}
-				sys, err := Resume(cfg2, &st2)
+				sys, cfg2, err := resumeFromMarker(mk, ConfigDigest(cfg1), at)
 				if err != nil {
-					t.Fatalf("resume at %v: %v", cut, err)
+					t.Fatal(err)
 				}
 				sys.Run()
 				gotIDs, gotSealed, err := sealedDumps(cfg2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pre := cfg2.Recorder.(*flight.Ring).PreDumps()
-				if pre+len(gotIDs) != len(wantIDs) {
-					t.Fatalf("cut %v: resumed run has %d pre + %d post dumps, straight run %d",
-						cut, pre, len(gotIDs), len(wantIDs))
+				if !slices.Equal(gotIDs, wantIDs) {
+					t.Fatalf("cut %v: resumed run dumps %v, straight run %v", cut, gotIDs, wantIDs)
 				}
 				for i := range gotIDs {
-					if gotIDs[i] != wantIDs[pre+i] {
-						t.Errorf("cut %v dump %d: id %q != straight %q", cut, i, gotIDs[i], wantIDs[pre+i])
-					}
-					if !bytes.Equal(gotSealed[i], wantSealed[pre+i]) {
+					if !bytes.Equal(gotSealed[i], wantSealed[i]) {
 						t.Errorf("cut %v dump %s: sealed bytes differ from the straight run's", cut, gotIDs[i])
 					}
 				}

@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"slices"
 	"testing"
 
@@ -38,62 +35,52 @@ var pinnedSets = []observerSet{
 
 // observerPins are the digests of every observer output of the golden
 // scenarios, keyed scenario/set. "flight-dumps" digests the sealed dumps
-// of a run with a flight ring and a registry; "bare-snapshot" is the
-// sha256 of the first cut's State JSON with every observer stripped.
+// of a run with a flight ring and a registry.
 var observerPins = map[string]string{
 	"vsync-steady/as-configured":                  "28c94b1a9137bd8898e4ef2cdea327b87caef48a507c37a59cf9a4034792546e",
 	"vsync-steady/metrics":                        "65c5af0c58c790c43e13ec13447d3ff55c9fd3e7a5b439c3ee039ee959190e74",
 	"vsync-steady/metrics-7ms":                    "842c2c595b98dec89fb82c1446d29f4c75cda42a2693f08a79c395e16f6c5b07",
 	"vsync-steady/metrics-no-recorder":            "3d65e7b6cd40772802bbfe9b5c50a87a36281c52e6cc9adeb6b17eefae94048d",
 	"vsync-steady/flight-dumps":                   "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-	"vsync-steady/bare-snapshot":                  "006c448c67382b42a7e3ea024beabb0b529a998b8187e27533d70a5fb1cc0302",
 	"dvsync-steady/as-configured":                 "e304122184938bfa346a9abc6f580514a53d826b117b0babb37ed6143c849c83",
 	"dvsync-steady/metrics":                       "031023618aa821a5472c99275665cf40642b36028156e21664bc71de3dd8f3cb",
 	"dvsync-steady/metrics-7ms":                   "2338698eafb4ae9ce6c865cecfd4565d06a8eb6894a0a532bf8484353148318f",
 	"dvsync-steady/metrics-no-recorder":           "795bbb0e912aa234a44121e083343624d36d6c99aec5bbc1698511ca9a34daed",
 	"dvsync-steady/flight-dumps":                  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-	"dvsync-steady/bare-snapshot":                 "d2a56a71cce3f3001aac7ec31285f416901088fd1ef7e2ff640067ef66f8a4bf",
 	"dvsync-faulted-fallback/as-configured":       "86dc68a09af10b49c089be3c97c99888e01d86f3a8eba7617ead3fbf474fa7e9",
 	"dvsync-faulted-fallback/metrics":             "7174cad108c650f74eb930daf98c60da85274babcd2c8dff113dc56db5a4167a",
 	"dvsync-faulted-fallback/metrics-7ms":         "1935f8c615f6265c50958cbfe7334422152a0f0f14aabe6c69a428122266a7ef",
 	"dvsync-faulted-fallback/metrics-no-recorder": "cbee2b0818588853059710a6904b57c2f3a389152f2cce5527d31f537c845466",
 	"dvsync-faulted-fallback/flight-dumps":        "ca5b03fef1eee46cde432ad7dfb88c3296501c0df7db5ec458f549061758bcd6",
-	"dvsync-faulted-fallback/bare-snapshot":       "210d6ebe7c90c166517c601d04c4b2e989ef8166529670c6fb91cf5d2b5f7217",
 	"vsync-faulted/as-configured":                 "175bd03ec3a6d87d4780d546c09928127b68854138dffd94ba7e0f26f96e60f0",
 	"vsync-faulted/metrics":                       "8bfa4a40cc3123e44b8e5ea1b788b1dfd73a0396ba17093ce37830134a9cf89a",
 	"vsync-faulted/metrics-7ms":                   "02ac0d5a2eef96cef6c66c7456763ce009cbb1016e62d001b68537d8820225f4",
 	"vsync-faulted/metrics-no-recorder":           "bb6761e9b4632aeeaf7d8ef5e9e0649a53514320ed7d0dd9bc8c944b23518d99",
 	"vsync-faulted/flight-dumps":                  "eb8ed83c051ef284cc933dd7e50caaedba921277572646e79aa415b612696fb3",
-	"vsync-faulted/bare-snapshot":                 "87cabef83788ea04004a808804a0ce728b744121bbc7653b9814c2bc638f98ef",
 	"vsync-stale-drop/as-configured":              "ac85a7cb15b9db8fe0e2cb469dc1a3f40be3276ee1707c4c5bbc2e485be7476f",
 	"vsync-stale-drop/metrics":                    "bebe24c787a20361dcd8ef3c12577bbbd6f2744e2eb8f17202521c7eca35363c",
 	"vsync-stale-drop/metrics-7ms":                "142abc6e39e2c45fa401f5bcbc965443e3edb1a7685426a144323ec9ef050653",
 	"vsync-stale-drop/metrics-no-recorder":        "18a24ee2dc249b0a0a314f60a64765618b56fddbc1eb1c3859b05c8624d8c594",
 	"vsync-stale-drop/flight-dumps":               "6fc3ab3b8b3f3644e96333016048a3422b7f4a79672c498e4675ce99cddb0aff",
-	"vsync-stale-drop/bare-snapshot":              "2d5b18f1441e2116930f1605a069af916e4dc84f2cfd921755c268f48f5d8453",
 	"jitter-skew-offset/as-configured":            "55c5461c8774d077a0ebdee909a89eb17c4b8f88c643786338e87f3cdc443506",
 	"jitter-skew-offset/metrics":                  "91b5dc8a58c00bf603f8b283eb31ebfe95d218212160ea13ba96e717a5c9badf",
 	"jitter-skew-offset/metrics-7ms":              "d87e4f656addb55901988060c7830fbdf4fb2e7172d1b2d3b76b07888ed9c389",
 	"jitter-skew-offset/metrics-no-recorder":      "6842f129b4299de23d13a4e6a1364517ee63c6c6a876c9a8f5dc7cb69fe983c4",
 	"jitter-skew-offset/flight-dumps":             "975c74f40ca37bdd9b56453b6aede5ba0321e30f5e128f7af0aa781e7c63b8b7",
-	"jitter-skew-offset/bare-snapshot":            "805c7594f84ca364f58d742b06a65114d3efa6b409f70cc3d01c848633b18582",
 	"dvsync-ltpo/as-configured":                   "93b177a859676db5a172d454ef4fbc59f33cca6d0d479a22c6b021d579db4631",
 	"dvsync-ltpo/metrics":                         "f68dae3ecc8600615377c34eda7cd332431eeb12243c997878dc7bf02eaf1c5e",
 	"dvsync-ltpo/metrics-7ms":                     "af24e0822c5bf47c9bd005cd23f2e4eed080df7b7c5463eb3f35d4fb6c402700",
 	"dvsync-ltpo/metrics-no-recorder":             "f31d3d6c3a1c4d06a1f8175c09426b02fa188fb9b32ec201da9f8a873a7ad2c3",
 	"dvsync-ltpo/flight-dumps":                    "88392da452c476a4e307a84ba9846034a2334b40ae4a7f1c3cd96590100ce831",
-	"dvsync-ltpo/bare-snapshot":                   "d24973e2630ba12a1d5a087890983987c2e5539fdd0cda9bf3a7d6121781eab3",
 	"dvsync-metrics/as-configured":                "031023618aa821a5472c99275665cf40642b36028156e21664bc71de3dd8f3cb",
 	"dvsync-metrics/metrics":                      "031023618aa821a5472c99275665cf40642b36028156e21664bc71de3dd8f3cb",
 	"dvsync-metrics/metrics-7ms":                  "2338698eafb4ae9ce6c865cecfd4565d06a8eb6894a0a532bf8484353148318f",
 	"dvsync-metrics/metrics-no-recorder":          "795bbb0e912aa234a44121e083343624d36d6c99aec5bbc1698511ca9a34daed",
 	"dvsync-metrics/flight-dumps":                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-	"dvsync-metrics/bare-snapshot":                "d2a56a71cce3f3001aac7ec31285f416901088fd1ef7e2ff640067ef66f8a4bf",
 }
 
 // TestObserverOutputsPinned pins trace JSONL, Perfetto, telemetry JSON and
-// Prometheus bytes, result summaries, anomaly dumps and bare snapshots
-// across versions. The determinism tests compare two runs of one build;
+// Prometheus bytes, result summaries and anomaly dumps across versions. The determinism tests compare two runs of one build;
 // these digests catch a change that shifts every run the same way.
 func TestObserverOutputsPinned(t *testing.T) {
 	check := func(key, got string) {
@@ -128,19 +115,6 @@ func TestObserverOutputsPinned(t *testing.T) {
 			t.Fatalf("%s/flight-dumps: %v", sc.name, err)
 		}
 		check(sc.name+"/flight-dumps", got)
-
-		cfg = sc.mk()
-		cfg.Recorder, cfg.Metrics = nil, nil
-		st, err := New(cfg).Snapshot(sc.cuts[0])
-		if err != nil {
-			t.Fatalf("%s/bare-snapshot: %v", sc.name, err)
-		}
-		payload, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(payload)
-		check(sc.name+"/bare-snapshot", hex.EncodeToString(sum[:]))
 	}
 }
 

@@ -63,16 +63,17 @@ func (r *Runner) RunTrace(tr *workload.Trace) *Result {
 }
 
 // DumpIDs names, under digest, the anomaly dumps a default flight ring
-// (flight.New(flight.Config{})) would have taken on the last Run or
-// RunTrace: entry i is that ring's DumpIDs(digest)[i]. It needs no ring
-// attached — observers do not change a run, so the ids are the same with
-// or without sinks — and is defined after a straight Run or RunTrace, not
-// after segmented execution through System.
+// (flight.New(flight.Config{})) would have taken on the last run: entry i
+// is that ring's DumpIDs(digest)[i]. It needs no ring attached —
+// observers do not change a run, so the ids are the same with or without
+// sinks — and is defined once the run has finished, whether through Run,
+// RunTrace or System().RunCheckpointed after Reset.
 func (r *Runner) DumpIDs(digest string) []string { return r.sys.dumpIDs(digest) }
 
 // Reset rewinds the graph without running, leaving the System ready for
-// segmented execution — checkpointing (RunCheckpointed, Snapshot) or
-// manual engine stepping through System().
+// segmented execution: a checkpointed run (RunCheckpointed, which pauses
+// only to hand its callback the instant) or manual engine stepping
+// through System().
 func (r *Runner) Reset() {
 	r.sys.reset(r.sys.cfg.Trace)
 	r.runs++

@@ -7,6 +7,7 @@ import (
 
 	"dvsync/internal/flight"
 	"dvsync/internal/ipl"
+	"dvsync/internal/simtime"
 )
 
 // TestRunnerSteadyStateAllocs pins the reuse-path allocation budget: once
@@ -41,5 +42,28 @@ func TestRunnerSteadyStateAllocsFlight(t *testing.T) {
 	rn.Run()
 	if avg := testing.AllocsPerRun(5, func() { rn.Run() }); avg > 8 {
 		t.Errorf("steady-state allocations per reused run with flight recorder = %v, want <= 8", avg)
+	}
+}
+
+// TestRunnerCheckpointedAllocs: pausing a reused Runner's run every
+// 100 ms to hand a callback the instant allocates no more than the plain
+// run does. A checkpoint is a replay marker, so the pause copies nothing
+// out of the simulator.
+func TestRunnerCheckpointedAllocs(t *testing.T) {
+	p := ckptProfile()
+	rn := NewRunner(Config{Mode: ModeDVSync, Panel: panel60(), Buffers: 4,
+		Trace: p.Generate(200, 42), Predictor: ipl.Kalman{}})
+	noop := func(simtime.Time) error { return nil }
+	checkpointed := func() {
+		rn.Reset()
+		if _, err := rn.System().RunCheckpointed(100*simtime.Millisecond, noop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rn.Run()
+	checkpointed()
+	plain := testing.AllocsPerRun(5, func() { rn.Run() })
+	if got := testing.AllocsPerRun(5, checkpointed); got > plain {
+		t.Errorf("allocations per reused checkpointed run = %v, plain run %v", got, plain)
 	}
 }

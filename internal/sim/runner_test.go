@@ -1,12 +1,9 @@
 package sim
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"testing"
 
-	"dvsync/internal/checkpoint"
 	"dvsync/internal/flight"
 	"dvsync/internal/ipl"
 	"dvsync/internal/par"
@@ -102,48 +99,29 @@ func TestRunnerTraceSwap(t *testing.T) {
 	}
 }
 
-// reusedResumedDigest mirrors resumedDigest, except the snapshotted system
-// is a Runner that already served (and was rewound from) a full run — the
-// checkpoint-from-a-reused-Runner contract.
+// reusedResumedDigest mirrors resumedDigest, except the run that pauses
+// at cut is a Runner that already served (and was rewound from) a full
+// run — the checkpoint-from-a-reused-Runner contract.
 func reusedResumedDigest(mk func() Config, cut simtime.Time) (string, error) {
 	cfg1 := mk()
 	rn := NewRunner(cfg1)
 	rn.Run() // dirty every component first
 	rn.Reset()
-	st, err := rn.System().Snapshot(cut)
+	at, err := pauseAt(rn.System(), cut)
 	if err != nil {
-		return "", fmt.Errorf("snapshot at %v: %w", cut, err)
-	}
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return "", fmt.Errorf("marshal state: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := checkpoint.Encode(&buf, ConfigDigest(cfg1), st.At, nil, payload); err != nil {
-		return "", fmt.Errorf("encode envelope: %w", err)
-	}
-	env, err := checkpoint.Decode(&buf)
-	if err != nil {
-		return "", fmt.Errorf("decode envelope: %w", err)
-	}
-	cfg2 := mk()
-	if err := env.VerifyConfig(ConfigDigest(cfg2)); err != nil {
 		return "", err
 	}
-	var st2 State
-	if err := env.DecodeState(&st2); err != nil {
-		return "", err
-	}
-	sys, err := Resume(cfg2, &st2)
+	sys, cfg2, err := resumeFromMarker(mk, ConfigDigest(cfg1), at)
 	if err != nil {
-		return "", fmt.Errorf("resume at %v: %w", cut, err)
+		return "", err
 	}
 	return outputsDigest(cfg2, sys.Run())
 }
 
 // TestCheckpointFromReusedRunner holds the resume contract on the reuse
-// path: a snapshot cut from a rewound Runner restores into a run whose
-// outputs match the straight run byte for byte, for every golden scenario.
+// path: a rewound Runner pauses where a fresh system does, and the
+// marker it leaves resumes into a run whose outputs match the straight
+// run byte for byte, for every golden scenario.
 func TestCheckpointFromReusedRunner(t *testing.T) {
 	for _, sc := range ckptScenarios() {
 		t.Run(sc.name, func(t *testing.T) {

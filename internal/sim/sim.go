@@ -302,7 +302,7 @@ type System struct {
 	// record() lazily interleaves them into the event stream so the hot
 	// path never formats a string. nextMark is the first unemitted mark:
 	// after any record(ev), nextMark indexes past every mark with
-	// at <= ev.At — the invariant checkpoint restore rebuilds.
+	// at <= ev.At.
 	marks    []traceMark
 	nextMark int
 	// lastReAnchors mirrors dtv.ReAnchors() so the recorder path can emit
@@ -313,12 +313,20 @@ type System struct {
 	// been recorded yet, in latch order. record() emits each one before the
 	// first event of a later instant, earliest fence first: an LTPO
 	// retarget can make PresentAt non-monotone across consecutive latches.
-	presentPending []PresentState
+	presentPending []presentFence
 	// lastAt is the instant of the run's latest recorded event, present
 	// fences aside, kept with or without a sink for dumpIDs' tail rule.
 	// Each engine callback that records stores it once, before its first
 	// record site; every other site records at the same instant.
 	lastAt simtime.Time
+}
+
+// presentFence is one latched frame whose FramePresent event has not been
+// recorded yet.
+type presentFence struct {
+	at        simtime.Time
+	frame     int
+	decoupled bool
 }
 
 // traceMark is one precomputed schema-v3 marker event awaiting emission.
@@ -396,7 +404,7 @@ func New(cfg Config) *System {
 	cfg = normalized(cfg)
 
 	s := &System{cfg: cfg, engine: event.NewEngine()}
-	s.presentPending = make([]PresentState, 0, 8)
+	s.presentPending = make([]presentFence, 0, 8)
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		s.inj = fault.NewInjector(*cfg.Faults)
 		if cfg.Recorder != nil {
@@ -527,8 +535,7 @@ func episodeMarks(fc *fault.Config) []traceMark {
 // precomputed marker due at or before it, in time order. A fence at T is
 // thus recorded after every event of instant T, and a marker at T before
 // a fence at T. The caller must hold cfg.Recorder != nil. After any
-// record(ev), nextMark indexes past every mark with at <= ev.At — the
-// invariant checkpoint restore rebuilds from the restored event stream.
+// record(ev), nextMark indexes past every mark with at <= ev.At.
 //
 //dvlint:hotpath wraps every recorded simulation event
 func (s *System) record(ev trace.Event) {
@@ -560,19 +567,19 @@ func (s *System) emitPresents(before simtime.Time) {
 	for len(s.presentPending) > 0 {
 		i := 0
 		for j := 1; j < len(s.presentPending); j++ {
-			if s.presentPending[j].At < s.presentPending[i].At {
+			if s.presentPending[j].at < s.presentPending[i].at {
 				i = j
 			}
 		}
 		p := s.presentPending[i]
-		if p.At >= before {
+		if p.at >= before {
 			return
 		}
 		copy(s.presentPending[i:], s.presentPending[i+1:])
 		s.presentPending = s.presentPending[:len(s.presentPending)-1]
-		s.emitMarks(p.At)
-		s.cfg.Recorder.Add(trace.Event{At: p.At, Kind: trace.FramePresent, Frame: p.Frame,
-			Decoupled: p.Decoupled})
+		s.emitMarks(p.at)
+		s.cfg.Recorder.Add(trace.Event{At: p.at, Kind: trace.FramePresent, Frame: p.frame,
+			Decoupled: p.decoupled})
 	}
 }
 
@@ -605,8 +612,9 @@ func (s *System) noteReAnchors(now simtime.Time) {
 //     after the jank; only a fallback to VSync counts, by its detail;
 //   - the watchdog last, at the engine's clock, after the flush.
 //
-// It is defined after a straight Run only: a resumed run lacks the
-// symptoms before its cut.
+// It reads the finished run's Result, so it is defined after any run
+// that reached finish: Run, RunCheckpointed, or either after Resume,
+// which replays the symptoms before the cut.
 func (s *System) dumpIDs(digest string) []string {
 	var onsets []simtime.Time
 	if s.inj != nil {
@@ -968,7 +976,7 @@ func (s *System) onEdge(now simtime.Time, seq uint64, period simtime.Duration) {
 			s.record(trace.Event{At: now, Kind: trace.FrameLatched, Frame: f.Seq,
 				Decoupled: f.Decoupled, EdgeSeq: seq})
 			s.presentPending = append(s.presentPending,
-				PresentState{At: f.PresentAt, Frame: f.Seq, Decoupled: f.Decoupled})
+				presentFence{at: f.PresentAt, frame: f.Seq, decoupled: f.Decoupled})
 		}
 		if s.fpe != nil {
 			if f.Decoupled {
@@ -1065,7 +1073,7 @@ func (s *System) Queue() *buffer.Queue { return s.queue }
 
 // normalized applies New's config defaulting, hoisted out so a
 // configuration digest computed before construction matches the wired
-// system (checkpoint envelopes pin snapshots to the normalized config).
+// system (replay markers and dumps are pinned to the normalized config).
 func normalized(cfg Config) Config {
 	if cfg.PreRenderLimit == 0 {
 		cfg.PreRenderLimit = cfg.Buffers - 1

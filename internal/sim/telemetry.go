@@ -102,8 +102,8 @@ func (t *telemetryState) observeJank(now simtime.Time) {
 // at every sampling boundary on the way and appends that boundary's row
 // once every event at or before it has fired, so a row at instant T sees
 // every effect of T. The next boundary is the registry's last row plus
-// the interval (zero before the first row), so a restored registry needs
-// no scheduling state. A run that stops takes no boundary row (finish
+// the interval (zero before the first row), so the grid needs no
+// scheduling state of its own. A run that stops takes no boundary row (finish
 // closes the series), and runTo on a stopped run does nothing.
 func (s *System) runTo(limit simtime.Time) {
 	if s.engine.Stopped() {

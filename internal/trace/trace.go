@@ -99,14 +99,11 @@ type Event struct {
 // append-everything Recorder and internal/flight's fixed-capacity ring
 // both implement it. Add must accept events in non-decreasing time order;
 // Events returns the retained window oldest-first (a ring may retain
-// fewer events than were added); Restore replaces the retained window
-// from checkpointed state and, unlike Add, reports out-of-order input as
-// an error because restore paths consume untrusted bytes.
+// fewer events than were added).
 type Sink interface {
 	Add(Event)
 	Reserve(int)
 	Reset()
-	Restore(events []Event) error
 	Events() []Event
 	Len() int
 }
@@ -150,20 +147,6 @@ func (r *Recorder) Reserve(n int) {
 //
 //dvlint:hotpath reused across runs on the recording path
 func (r *Recorder) Reset() { r.events = r.events[:0] }
-
-// Restore replaces the recorder's contents with checkpointed events. The
-// events must already be in non-decreasing time order — out-of-order input
-// is an error, never a panic, because restore paths consume untrusted
-// bytes.
-func (r *Recorder) Restore(events []Event) error {
-	for i := 1; i < len(events); i++ {
-		if events[i].At < events[i-1].At {
-			return fmt.Errorf("trace: restored events out of order at %d", i)
-		}
-	}
-	r.events = append(r.events[:0], events...)
-	return nil
-}
 
 // Events returns the recorded events.
 func (r *Recorder) Events() []Event { return r.events }

@@ -11,13 +11,10 @@
 //	dvbench -csv results/   # export every table as CSV instead of printing it
 //	dvbench -trace-dir traces/  # dump one Perfetto export per experiment cell
 //	dvbench -metrics-dir metrics/  # dump telemetry snapshots per experiment cell
-//	dvbench -bench-json BENCH_pr.json [-bench-baseline BENCH_baseline.json]
-//	                        # run the pinned benchmarks; with a baseline,
-//	                        # exit 1 if any measure regresses past tolerance
 //
 // The three exports are exclusive and always run the full configuration.
 // A command line in which some flag would have no effect (two exports,
-// -quick with an export, experiment flags with -bench-json) exits 2.
+// -quick with an export, -list with experiment flags) exits 2.
 //
 // Experiments fan replica simulations out over a deterministic worker pool
 // (internal/par); the output is byte-identical at any -workers value, only
@@ -33,7 +30,6 @@ import (
 	"strconv"
 
 	"dvsync"
-	"dvsync/internal/bench"
 	"dvsync/internal/exp"
 	"dvsync/internal/obs"
 	"dvsync/internal/par"
@@ -51,7 +47,6 @@ func (e usageError) Error() string { return e.msg }
 // options is the parsed command line.
 type options struct {
 	expID, csvDir, traceDir, metricsDir string
-	benchJSON, benchBase                string
 	list, quick                         bool
 	workers                             int
 }
@@ -67,15 +62,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.csvDir, "csv", "", "directory to export tables as CSV files")
 	fs.StringVar(&o.traceDir, "trace-dir", "", "directory to dump one Perfetto export per experiment cell")
 	fs.StringVar(&o.metricsDir, "metrics-dir", "", "directory to dump one telemetry snapshot pair per experiment cell")
-	fs.StringVar(&o.benchJSON, "bench-json", "", "run the pinned benchmarks and write a perf-trajectory snapshot to this file")
-	fs.StringVar(&o.benchBase, "bench-baseline", "", "baseline to compare -bench-json results against; exit 1 on regression")
 	fs.IntVar(&o.workers, "workers", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	err := checkFlags(fs, o)
 	if err == nil {
-		err = dispatch(o, stdout, stderr)
+		err = dispatch(o, stdout)
 	}
 	switch err.(type) {
 	case nil:
@@ -92,18 +85,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 // checkFlags rejects, before anything runs or is written, every flag
 // combination in which a flag would be silently ignored: a second export
 // directory that is never created, -quick under an export (exports always
-// run the full configuration), or experiment flags next to -bench-json.
+// run the full configuration), or experiment and export flags next to
+// -list.
 func checkFlags(fs *flag.FlagSet, o options) error {
 	if fs.NArg() > 0 {
 		return usageError{fmt.Sprintf("unexpected argument %q (select an experiment with -exp)", fs.Arg(0))}
 	}
-	if o.benchBase != "" && o.benchJSON == "" {
-		return usageError{"-bench-baseline requires -bench-json"}
-	}
 	workersSet := false
 	fs.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "workers" })
 	set := map[string]bool{
-		"exp": o.expID != "", "list": o.list, "quick": o.quick, "workers": workersSet,
+		"exp": o.expID != "", "quick": o.quick, "workers": workersSet,
 		"csv": o.csvDir != "", "trace-dir": o.traceDir != "", "metrics-dir": o.metricsDir != "",
 	}
 	given := func(names ...string) []string {
@@ -117,10 +108,6 @@ func checkFlags(fs *flag.FlagSet, o options) error {
 	}
 	exports := given("csv", "trace-dir", "metrics-dir")
 	switch {
-	case o.benchJSON != "":
-		if g := given("exp", "list", "quick", "workers", "csv", "trace-dir", "metrics-dir"); len(g) > 0 {
-			return usageError{fmt.Sprintf("%s has no effect with -bench-json, which only runs the pinned benchmarks", g[0])}
-		}
 	case o.list:
 		if g := given("exp", "quick", "csv", "trace-dir", "metrics-dir"); len(g) > 0 {
 			return usageError{fmt.Sprintf("%s has no effect with -list", g[0])}
@@ -134,10 +121,7 @@ func checkFlags(fs *flag.FlagSet, o options) error {
 }
 
 // dispatch runs the action a checked command line selects.
-func dispatch(o options, stdout, stderr io.Writer) error {
-	if o.benchJSON != "" {
-		return runBenchGate(o.benchJSON, o.benchBase, stdout, stderr)
-	}
+func dispatch(o options, stdout io.Writer) error {
 	par.SetWorkers(o.workers)
 	if o.list {
 		for _, e := range dvsync.Experiments() {
@@ -184,54 +168,6 @@ func dispatch(o options, stdout, stderr io.Writer) error {
 	if export != nil {
 		fmt.Fprintf(stdout, "wrote %s for %d experiments to %s\n", what, len(run), dir)
 	}
-	return nil
-}
-
-// runBenchGate measures the pinned benchmark set, writes the trajectory
-// snapshot, and — when a baseline is given — fails on any regression past
-// the default tolerances.
-func runBenchGate(outPath, basePath string, stdout, stderr io.Writer) error {
-	results := bench.Run()
-	f, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	werr := bench.WriteJSON(f, results,
-		"perf-trajectory snapshot written by dvbench -bench-json; gated against BENCH_baseline.json")
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	for _, p := range bench.Benchmarks() {
-		r := results[p.Name]
-		line := fmt.Sprintf("%-28s %12.0f ns/op %10d B/op %8d allocs/op",
-			p.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-		if r.RunsPerSec > 0 {
-			line += fmt.Sprintf(" %10.1f runs/sec", r.RunsPerSec)
-		}
-		fmt.Fprintln(stdout, line)
-	}
-	if basePath == "" {
-		return nil
-	}
-	bf, err := os.Open(basePath)
-	if err != nil {
-		return err
-	}
-	base, err := bench.ReadBaseline(bf)
-	bf.Close()
-	if err != nil {
-		return err
-	}
-	if msgs := bench.Compare(results, base, bench.DefaultTolerance()); len(msgs) > 0 {
-		for _, m := range msgs {
-			fmt.Fprintln(stderr, "dvbench: bench regression:", m)
-		}
-		return fmt.Errorf("%d benchmark regression(s) against %s", len(msgs), basePath)
-	}
-	fmt.Fprintf(stdout, "bench gate passed: %d benchmarks within tolerance of %s\n", len(base), basePath)
 	return nil
 }
 

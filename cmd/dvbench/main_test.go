@@ -49,14 +49,7 @@ func TestIgnoredFlagsRejected(t *testing.T) {
 		{[]string{"-quick", "-exp", "fig7", "-trace-dir", out("t")}, "-quick has no effect with -trace-dir"},
 		{[]string{"-quick", "-metrics-dir", out("m")}, "-quick has no effect with -metrics-dir"},
 		{[]string{"-quick", "-csv", out("c")}, "-quick has no effect with -csv"},
-		{[]string{"-bench-json", out("b.json"), "-exp", "fig7"}, "-exp has no effect with -bench-json"},
-		{[]string{"-bench-json", out("b.json"), "-quick"}, "-quick has no effect with -bench-json"},
-		{[]string{"-bench-json", out("b.json"), "-trace-dir", out("t")}, "-trace-dir has no effect with -bench-json"},
-		{[]string{"-bench-json", out("b.json"), "-metrics-dir", out("m")}, "-metrics-dir has no effect with -bench-json"},
-		{[]string{"-bench-json", out("b.json"), "-csv", out("c")}, "-csv has no effect with -bench-json"},
-		{[]string{"-bench-json", out("b.json"), "-workers", "2"}, "-workers has no effect with -bench-json"},
 		{[]string{"-list", "-exp", "fig7"}, "-exp has no effect with -list"},
-		{[]string{"-bench-baseline", out("base.json")}, "-bench-baseline requires -bench-json"},
 		{[]string{"fig7"}, `unexpected argument "fig7"`},
 		{[]string{"-exp", "nope"}, `unknown experiment "nope"`},
 	}

@@ -8,8 +8,6 @@
 //	dvlint ./internal/...                 # lint a subtree
 //	dvlint -list                          # list the rules
 //	dvlint -json ./...                    # machine-readable findings
-//	dvlint -baseline .dvlint-baseline.json ./...
-//	dvlint -write-baseline .dvlint-baseline.json ./...
 //
 // Violations print in the compiler's file:line:col format. A finding can be
 // suppressed in place with a justified directive:
@@ -19,17 +17,8 @@
 // on the offending line or the line directly above it. Directives that name
 // an unknown rule or omit the reason are themselves violations.
 //
-// # Baseline ratchet
-//
-// -baseline applies a committed ratchet file: findings recorded there are
-// pinned debt and do not fail the run; any finding NOT in the file is fresh
-// and fails. Entries whose finding has been fixed are reported as stale —
-// remove them from the file, it may only shrink. The default -baseline value
-// "auto" uses <module root>/.dvlint-baseline.json when it exists and no
-// baseline otherwise; "none" disables baselining explicitly.
-//
-// Exit status: 0 clean, 1 findings (fresh findings under a baseline), 2
-// usage or load errors — including a package pattern that matches nothing.
+// Exit status: 0 clean, 1 any finding, 2 usage or load errors — including
+// a package pattern that matches nothing.
 package main
 
 import (
@@ -53,13 +42,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dvlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the rules and exit")
-	rules := fs.Bool("rules", false, "alias for -list (deprecated)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	baselinePath := fs.String("baseline", "auto",
-		"baseline ratchet file; 'auto' uses <module>/.dvlint-baseline.json when present, 'none' disables")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: dvlint [-list] [-json] [-baseline file] [-write-baseline file] [packages]")
+		fmt.Fprintln(stderr, "usage: dvlint [-list] [-json] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -67,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	analyzers := lint.Analyzers()
-	if *list || *rules {
+	if *list {
 		for _, a := range analyzers {
 			fmt.Fprintf(stdout, "%-18s %s\n", a.Name, a.Doc)
 		}
@@ -102,31 +87,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	findings := lint.Findings(root, lint.Run(selected, analyzers))
 
-	if *writeBaseline != "" {
-		if err := lint.WriteBaselineFile(*writeBaseline, findings); err != nil {
-			fmt.Fprintln(stderr, "dvlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "dvlint: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return 0
-	}
-
-	base, err := resolveBaseline(root, *baselinePath)
-	if err != nil {
-		fmt.Fprintln(stderr, "dvlint:", err)
-		return 2
-	}
-	report := findings
-	if base != nil {
-		fresh, stale := lint.ApplyBaseline(findings, base)
-		report = fresh
-		for _, f := range stale {
-			fmt.Fprintf(stderr, "dvlint: stale baseline entry (finding fixed — remove it): %s\n", f)
-		}
-	}
-
 	if *jsonOut {
-		data, err := lint.EncodeFindings(report)
+		data, err := lint.EncodeFindings(findings)
 		if err != nil {
 			fmt.Fprintln(stderr, "dvlint:", err)
 			return 2
@@ -136,16 +98,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	} else {
-		for _, f := range report {
+		for _, f := range findings {
 			fmt.Fprintln(stdout, f)
 		}
 	}
-	if n := len(report); n > 0 {
-		if base != nil {
-			fmt.Fprintf(stderr, "dvlint: %d fresh violation(s) not covered by the baseline\n", n)
-		} else {
-			fmt.Fprintf(stderr, "dvlint: %d violation(s)\n", n)
-		}
+	if n := len(findings); n > 0 {
+		fmt.Fprintf(stderr, "dvlint: %d violation(s)\n", n)
 		return 1
 	}
 	return 0
@@ -206,23 +164,6 @@ func selectPackages(modPath string, pkgs []*lint.Package, patterns []string) ([]
 		}
 	}
 	return out, nil
-}
-
-// resolveBaseline maps the -baseline flag value to a loaded baseline (nil
-// when baselining is off).
-func resolveBaseline(root, value string) (*lint.Baseline, error) {
-	switch value {
-	case "none", "":
-		return nil, nil
-	case "auto":
-		path := filepath.Join(root, ".dvlint-baseline.json")
-		if _, err := os.Stat(path); err != nil {
-			return nil, nil
-		}
-		return lint.ReadBaselineFile(path)
-	default:
-		return lint.ReadBaselineFile(value)
-	}
 }
 
 // moduleRoot walks up from the working directory to the enclosing go.mod.

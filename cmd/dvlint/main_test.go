@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -24,7 +23,7 @@ func exec(t *testing.T, args ...string) (int, string, string) {
 // CI path disable the whole gate.
 func TestNoMatchingPackagesExits2(t *testing.T) {
 	t.Parallel()
-	code, _, stderr := exec(t, "-baseline", "none", "./does/not/exist")
+	code, _, stderr := exec(t, "./does/not/exist")
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2; stderr: %s", code, stderr)
 	}
@@ -38,7 +37,7 @@ func TestNoMatchingPackagesExits2(t *testing.T) {
 
 func TestUnsupportedPatternExits2(t *testing.T) {
 	t.Parallel()
-	code, _, stderr := exec(t, "-baseline", "none", "/absolute/path")
+	code, _, stderr := exec(t, "/absolute/path")
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2; stderr: %s", code, stderr)
 	}
@@ -48,18 +47,16 @@ func TestUnsupportedPatternExits2(t *testing.T) {
 }
 
 // TestListNamesEveryAnalyzer pins the -list output to the registered rule
-// set (and keeps the deprecated -rules alias alive).
+// set.
 func TestListNamesEveryAnalyzer(t *testing.T) {
 	t.Parallel()
-	for _, flag := range []string{"-list", "-rules"} {
-		code, stdout, stderr := exec(t, flag)
-		if code != 0 {
-			t.Fatalf("%s: exit = %d; stderr: %s", flag, code, stderr)
-		}
-		for _, a := range lint.Analyzers() {
-			if !strings.Contains(stdout, a.Name) {
-				t.Errorf("%s output is missing rule %s", flag, a.Name)
-			}
+	code, stdout, stderr := exec(t, "-list")
+	if code != 0 {
+		t.Fatalf("-list: exit = %d; stderr: %s", code, stderr)
+	}
+	for _, a := range lint.Analyzers() {
+		if !strings.Contains(stdout, a.Name) {
+			t.Errorf("-list output is missing rule %s", a.Name)
 		}
 	}
 }
@@ -68,7 +65,7 @@ func TestListNamesEveryAnalyzer(t *testing.T) {
 // array even when empty.
 func TestJSONEmitsArray(t *testing.T) {
 	t.Parallel()
-	code, stdout, stderr := exec(t, "-json", "-baseline", "none", "./internal/lint")
+	code, stdout, stderr := exec(t, "-json", "./internal/lint")
 	if code != 0 {
 		t.Fatalf("exit = %d; stdout: %s stderr: %s", code, stdout, stderr)
 	}
@@ -86,48 +83,19 @@ func TestJSONEmitsArray(t *testing.T) {
 func TestSubtreeAndSinglePackagePatterns(t *testing.T) {
 	t.Parallel()
 	for _, pat := range []string{"./internal/lint", "./cmd/..."} {
-		code, stdout, stderr := exec(t, "-baseline", "none", pat)
+		code, stdout, stderr := exec(t, pat)
 		if code != 0 {
 			t.Fatalf("%s: exit = %d; stdout: %s stderr: %s", pat, code, stdout, stderr)
 		}
 	}
 }
 
-// TestStaleBaselineEntryWarnsButPasses: a baseline entry whose finding no
-// longer exists must not fail the run, but must be called out for removal.
-func TestStaleBaselineEntryWarnsButPasses(t *testing.T) {
-	t.Parallel()
-	path := filepath.Join(t.TempDir(), "base.json")
-	stale := lint.Finding{File: "internal/lint/lint.go", Line: 1, Col: 1,
-		Rule: "hotalloc", Message: "finding that was fixed long ago"}
-	if err := lint.WriteBaselineFile(path, []lint.Finding{stale}); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr := exec(t, "-baseline", path, "./internal/lint")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0; stderr: %s", code, stderr)
-	}
-	if !strings.Contains(stderr, "stale baseline entry") {
-		t.Fatalf("stderr lacks the stale warning: %q", stderr)
-	}
-}
-
 // TestDefaultInvocationIsClean is the tier-1 contract: plain `dvlint ./...`
-// (auto-discovering the committed baseline) passes on this repository.
+// finds nothing on this repository.
 func TestDefaultInvocationIsClean(t *testing.T) {
 	t.Parallel()
 	code, stdout, stderr := exec(t, "./...")
 	if code != 0 {
 		t.Fatalf("exit = %d; stdout: %s stderr: %s", code, stdout, stderr)
-	}
-}
-
-// TestBadBaselineFileExits2 distinguishes configuration errors from
-// findings.
-func TestBadBaselineFileExits2(t *testing.T) {
-	t.Parallel()
-	code, _, stderr := exec(t, "-baseline", "./no-such-baseline.json", "./internal/lint")
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2; stderr: %s", code, stderr)
 	}
 }

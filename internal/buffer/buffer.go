@@ -190,10 +190,6 @@ func (q *Queue) FreeCount() int { return len(q.free) }
 // QueuedCount returns the number of rendered buffers awaiting display.
 func (q *Queue) QueuedCount() int { return len(q.queued) }
 
-// PendingAhead returns how many rendered-but-not-displayed frames exist,
-// counting queued buffers only (the quantity DTV multiplies by the period).
-func (q *Queue) PendingAhead() int { return len(q.queued) }
-
 // Front returns the buffer currently on screen, or nil.
 func (q *Queue) Front() *Buffer { return q.front }
 

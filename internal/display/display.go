@@ -211,9 +211,6 @@ func (p *Panel) RefreshHz() int { return simtime.HzForPeriod(p.period) }
 // Edges returns how many edges have fired.
 func (p *Panel) Edges() uint64 { return p.edges }
 
-// LastEdge returns the time of the most recent edge.
-func (p *Panel) LastEdge() simtime.Time { return p.lastEdge }
-
 // NextEdgeAfter returns the nominal time of the first edge strictly after t.
 // It is the query the DTV uses to model the display ("the VSync period or
 // offsets are always available to query", §4.4).

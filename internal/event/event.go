@@ -44,11 +44,11 @@ type Handler func(now simtime.Time)
 // ID identifies a scheduled event so it can be cancelled.
 type ID uint64
 
+// item is one scheduled event. Its sequence number doubles as its ID.
 type item struct {
 	at       simtime.Time
 	prio     Priority
 	seq      uint64
-	id       ID
 	fn       Handler
 	canceled bool
 }
@@ -144,6 +144,7 @@ type WatchdogError struct {
 	// Dispatched is how many events fired at that instant.
 	Dispatched int
 	// LastPriority, LastSeq and LastID identify the last-dispatched event.
+	// An event's ID is its sequence number, so LastID equals LastSeq.
 	LastPriority Priority
 	LastSeq      uint64
 	LastID       ID
@@ -163,7 +164,6 @@ func (e *WatchdogError) Error() string {
 type Engine struct {
 	now     simtime.Time
 	seq     uint64
-	nextID  ID
 	events  agenda
 	stopped bool
 	fired   uint64
@@ -236,21 +236,20 @@ func (e *Engine) At(at simtime.Time, prio Priority, fn Handler) ID {
 	if fn == nil {
 		panic("event: nil handler")
 	}
-	e.nextID++
 	e.seq++
 	var it *item
 	if n := len(e.free); n > 0 {
 		it = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		*it = item{at: at, prio: prio, seq: e.seq, id: e.nextID, fn: fn}
+		*it = item{at: at, prio: prio, seq: e.seq, fn: fn}
 	} else {
 		//dvlint:ignore hotalloc free-list grow path: each item is allocated once and recycled forever after
-		it = &item{at: at, prio: prio, seq: e.seq, id: e.nextID, fn: fn}
+		it = &item{at: at, prio: prio, seq: e.seq, fn: fn}
 	}
 	e.events.push(it)
 	e.live++
-	return it.id
+	return ID(e.seq)
 }
 
 // recycle returns an item to the free list. The caller guarantees it has
@@ -307,13 +306,14 @@ func (e *Engine) Cancel(id ID) bool {
 // few stage completions per in-flight frame and any delayed signal
 // deliveries.
 func (e *Engine) find(id ID) (*item, bool) {
+	seq := uint64(id)
 	for _, it := range e.events {
-		if it.id == id && !it.canceled {
+		if it.seq == seq && !it.canceled {
 			return it, true
 		}
 	}
 	for _, it := range e.batch {
-		if it != nil && it.id == id && !it.canceled {
+		if it != nil && it.seq == seq && !it.canceled {
 			return it, false
 		}
 	}
@@ -392,7 +392,7 @@ func (e *Engine) runInstant(t simtime.Time) {
 			e.instantAt, e.instantFired = t, 1
 		}
 		e.fired++
-		fn, prio, seq, id := it.fn, it.prio, it.seq, it.id
+		fn, prio, seq := it.fn, it.prio, it.seq
 		// Recycle before dispatch: the handler may schedule new events, and
 		// letting it reuse this slot keeps the steady-state agenda footprint
 		// at the live-event count. All fields needed afterwards were copied.
@@ -408,7 +408,7 @@ func (e *Engine) runInstant(t simtime.Time) {
 				Dispatched:   e.instantFired,
 				LastPriority: prio,
 				LastSeq:      seq,
-				LastID:       id,
+				LastID:       ID(seq),
 			}
 			e.stopped = true
 		}
@@ -485,7 +485,6 @@ func (e *Engine) Reset() {
 	e.live = 0
 	e.now = 0
 	e.seq = 0
-	e.nextID = 0
 	e.stopped = false
 	e.fired = 0
 	e.ncanceled = 0
@@ -508,9 +507,6 @@ func (e *Engine) peekTime() (simtime.Time, bool) {
 	}
 	return 0, false
 }
-
-// NextEventTime returns the timestamp of the earliest pending event.
-func (e *Engine) NextEventTime() (simtime.Time, bool) { return e.peekTime() }
 
 // Ticker repeatedly schedules a handler at a fixed period. It is the
 // building block for VSync generation.

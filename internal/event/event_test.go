@@ -301,6 +301,13 @@ func TestWatchdogTripsOnStalledAgenda(t *testing.T) {
 	if wd.LastSeq != 100 || wd.LastID != 100 {
 		t.Fatalf("watchdog last event = seq %d id %d, want 100/100", wd.LastSeq, wd.LastID)
 	}
+	// The text enters Result.WatchdogTripped and through it the
+	// determinism digests, so it is pinned byte for byte.
+	const want = "event: no-progress watchdog: 100 events dispatched at t=0.000ms " +
+		"without the clock advancing (last event: priority=4 seq=100 id=100)"
+	if got := err.Error(); got != want {
+		t.Fatalf("watchdog error = %q, want %q", got, want)
+	}
 }
 
 func TestWatchdogDeterministicAcrossRuns(t *testing.T) {

@@ -16,7 +16,7 @@ type ScheduledEvent struct {
 // scans the agenda.
 func (e *Engine) Lookup(id ID) (ScheduledEvent, bool) {
 	if it, _ := e.find(id); it != nil {
-		return ScheduledEvent{At: it.at, Prio: it.prio, Seq: it.seq, ID: it.id}, true
+		return ScheduledEvent{At: it.at, Prio: it.prio, Seq: it.seq, ID: ID(it.seq)}, true
 	}
 	return ScheduledEvent{}, false
 }

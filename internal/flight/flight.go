@@ -1,9 +1,9 @@
 // Package flight is the always-on flight recorder (DESIGN.md §15): a
 // fixed-capacity ring that implements trace.Sink, retains the last N
-// events of a run at zero steady-state allocations, and — on a
-// deterministic trigger (health-watchdog trip, §4.5 fallback, jank burst,
-// fault-episode onset) — snapshots the retained window into a versioned,
-// digest-pinned anomaly dump.
+// events of a run without allocating, and — on a deterministic trigger
+// (health-watchdog trip, §4.5 fallback, jank burst, fault-episode onset)
+// — copies the retained window into a versioned, digest-pinned anomaly
+// dump. Only that copy allocates, once per dump.
 //
 // Everything is a function of virtual time and the event stream: the same
 // run produces the same dumps byte-for-byte at any worker width, from a
@@ -187,19 +187,10 @@ func (r *Ring) TripWatchdog(at simtime.Time, detail string) {
 // snapshot copies the retained window into a new dump. Runs only on
 // anomalies the trigger rules let through, so it may allocate.
 func (r *Ring) snapshot(kind TriggerKind, at simtime.Time, detail string) {
-	// Recycle the event buffer a previous run's dump left in this slot:
-	// Reset rewinds r.dumps to length 0 but keeps the backing array, so a
-	// reused Runner that triggers the same dumps every run reaches zero
-	// steady-state allocations even on the anomaly path.
-	var events []trace.Event
-	if n := len(r.dumps); n < cap(r.dumps) {
-		events = r.dumps[: n+1 : cap(r.dumps)][n].Events[:0]
-	}
-	events = append(events, r.window()...)
 	r.dumps = append(r.dumps, Dump{
 		SchemaVersion: trace.SchemaVersion,
 		Trigger:       Trigger{Kind: kind, At: at, Detail: detail},
-		Events:        events,
+		Events:        append([]trace.Event(nil), r.window()...),
 	})
 }
 
@@ -218,8 +209,8 @@ func (r *Ring) window() []trace.Event {
 }
 
 // Dumps returns the snapshots taken this run, in trigger order. The
-// snapshots (including their event slices) are valid until the next
-// Reset — a later run recycles their storage.
+// returned slice is valid until the next Reset, which rewinds it for the
+// next run's dumps; each dump's events are its own.
 func (r *Ring) Dumps() []Dump { return r.dumps }
 
 // DumpIDs names the dumps Dumps returns, in the same order: entry i is

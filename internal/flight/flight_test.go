@@ -138,8 +138,8 @@ func TestMaxDumpsCap(t *testing.T) {
 
 // TestResetRecyclesDumpStorage: a reused ring reproduces the previous
 // run's dumps byte-for-byte without keeping stale state, and the second
-// run's snapshots are correct even though they recycle the first run's
-// event buffers.
+// run's snapshots are correct even though they reuse the first run's dump
+// list.
 func TestResetRecyclesDumpStorage(t *testing.T) {
 	run := func(r *Ring) []Dump {
 		for i, at := range []int64{0, 40, 80} {

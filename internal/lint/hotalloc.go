@@ -19,8 +19,7 @@ import (
 // path is already dead — as are immediately-invoked function literals,
 // which the compiler inlines. Sanctioned allocations (free-list grow
 // paths, setup inside a hot package) carry justified //dvlint:ignore
-// directives; everything else is either fixed or pinned in the baseline
-// ratchet.
+// directives; everything else is fixed.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "flag allocation-inducing constructs inside //dvlint:hotpath scopes",

@@ -100,9 +100,6 @@ func (d *Distributor) Subscribe(k Kind, l Listener) {
 	d.listeners[k] = append(d.listeners[k], l)
 }
 
-// Offset returns the configured offset of a signal.
-func (d *Distributor) Offset(k Kind) simtime.Duration { return d.offsets[k] }
-
 // SetDelay installs a per-delivery delay hook — the fault-injection point
 // for clock drift between the panel and the software VSync distributor
 // (internal/fault). Negative return values are ignored; the hook only ever

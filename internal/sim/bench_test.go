@@ -1,39 +1,63 @@
-package sim_test
+package sim
 
 import (
 	"testing"
 
-	"dvsync/internal/bench"
-	"dvsync/internal/sim"
+	"dvsync/internal/ipl"
+	"dvsync/internal/workload"
 )
 
-// BenchmarkSimRun measures an end-to-end simulation of a 400-frame
-// interactive workload under both architectures — the unit of work every
-// experiment replica fans out. The body lives in internal/bench so that
-// `dvbench -bench-json` measures exactly this workload when emitting the
-// perf-trajectory snapshot CI gates against BENCH_baseline.json.
-// Allocation counts here are the target of the hot-path cuts and of the
-// zero-cost-without-registry telemetry contract.
+// benchTrace is the pinned end-to-end workload: 400 interactive frames,
+// seed 1234, the unit of work every experiment replica fans out. The
+// benchmarks below, their allocation pins and TestRunnerEventsPerRun all
+// run it.
+func benchTrace() *workload.Trace {
+	p := workload.Profile{
+		Name: "bench", ShortMeanMs: 5, ShortSigmaMs: 2,
+		LongRatio: 0.06, LongScaleMs: 20, LongAlpha: 1.8,
+		Burstiness: 0.3, UIShare: 0.4, Class: workload.Interactive,
+	}
+	return p.Generate(400, 1234)
+}
+
+// benchConfig runs tr in mode on the 60 Hz test panel with four buffers
+// and the Kalman predictor.
+func benchConfig(mode Mode, tr *workload.Trace) Config {
+	return Config{Mode: mode, Panel: panel60(), Buffers: 4, Trace: tr,
+		Predictor: ipl.Kalman{}}
+}
+
+// BenchmarkSimRun measures a fresh end-to-end simulation of benchTrace
+// under both architectures: wiring, the run and its result.
+// TestSimRunAllocs pins its allocs/op and B/op.
 func BenchmarkSimRun(b *testing.B) {
-	for _, mode := range []sim.Mode{sim.ModeVSync, sim.ModeDVSync} {
-		b.Run(mode.String(), bench.SimRun(mode))
+	tr := benchTrace()
+	for _, mode := range []Mode{ModeVSync, ModeDVSync} {
+		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				Run(benchConfig(mode, tr))
+			}
+		})
 	}
 }
 
-// BenchmarkRunnerReuse measures the reuse path: one Runner replaying the
-// pinned workload back to back. It reports runs/sec and the steady-state
-// allocs/op of a rewound run (gated at ≤ 8 by TestRunnerSteadyStateAllocs
-// and the trajectory baseline). The body lives in internal/bench for the
-// same single-definition reason as BenchmarkSimRun.
+// BenchmarkRunnerReuse measures the reuse path: one Runner replaying
+// benchTrace in D-VSync back to back, after a warm-up run that grows every
+// arena and ring to the workload's high-water mark. It reports runs/sec;
+// TestRunnerSteadyStateAllocs pins a reused run at 0 allocations.
 func BenchmarkRunnerReuse(b *testing.B) {
-	bench.RunnerReuse(b)
-}
-
-// BenchmarkRunnerReuseFlight is the reuse path with the flight recorder
-// attached: the always-on observability contract pins its steady-state
-// cost at zero extra allocations over BenchmarkRunnerReuse.
-func BenchmarkRunnerReuseFlight(b *testing.B) {
-	bench.RunnerReuseFlight(b)
+	rn := NewRunner(benchConfig(ModeDVSync, benchTrace()))
+	rn.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		rn.Run()
+	}
+	b.StopTimer()
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(b.N)/s, "runs/sec")
+	}
 }
 
 // BenchmarkConfigDigest measures one digest of the fleet-census
@@ -41,9 +65,9 @@ func BenchmarkRunnerReuseFlight(b *testing.B) {
 // by this digest, and dvserve, dvsim's checkpoints and flight dumps take
 // it once per run.
 func BenchmarkConfigDigest(b *testing.B) {
-	cfg := sim.FleetCellConfig(sim.ModeDVSync)
+	cfg := fleetCellConfig(ModeDVSync)
 	b.ReportAllocs()
 	for range b.N {
-		sim.ConfigDigest(cfg)
+		ConfigDigest(cfg)
 	}
 }

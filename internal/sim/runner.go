@@ -7,9 +7,9 @@ import "dvsync/internal/workload"
 // D-VSync core, telemetry registry and result buffers — exactly once, and
 // replays runs against it. Construction is the expensive part of a
 // simulation at experiment scale (every wire-up allocates the whole object
-// graph); Run rewinds the graph in place instead, so back-to-back runs
-// settle at a near-zero steady-state allocation count
-// (BenchmarkRunnerReuse pins the number).
+// graph); Run rewinds the graph in place instead, so once the first run
+// has grown every buffer, a bare run allocates nothing
+// (TestRunnerSteadyStateAllocs pins it at 0).
 //
 // The contract is strict equivalence, not approximation: a run replayed
 // through a reused Runner produces byte-identical outputs — Result

@@ -13,7 +13,8 @@
 // formatting, so the same seed and scenario produce byte-identical output
 // at every -workers width. When no registry is attached the simulator's
 // hot path pays a nil check and nothing else — zero extra allocations,
-// guarded by BenchmarkSimRun against BENCH_baseline.json.
+// guarded by TestSimRunAllocs, which pins a registry-free run's
+// allocations exactly.
 package telemetry
 
 import (

@@ -258,8 +258,8 @@ func FuzzVSyncRecurrence(f *testing.F) {
 	})
 }
 
-// benchTrace is the 400-frame workload of the simulator's reuse benchmark
-// (internal/bench), here on the VSync path.
+// benchTrace is the 400-frame workload of the simulator's benchmarks
+// (benchTrace in internal/sim), here on the VSync path.
 func benchTrace() *workload.Trace {
 	p := workload.Profile{
 		Name: "bench", ShortMeanMs: 5, ShortSigmaMs: 2,

@@ -59,6 +59,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	// Check the patterns first: a malformed one needs no module load.
+	patternArgs := fs.Args()
+	if len(patternArgs) == 0 {
+		patternArgs = []string{"./..."}
+	}
+	patterns, err := parsePatterns(patternArgs)
+	if err != nil {
+		fmt.Fprintln(stderr, "dvlint:", err)
+		return 2
+	}
 	root, err := moduleRoot()
 	if err != nil {
 		fmt.Fprintln(stderr, "dvlint:", err)
@@ -73,11 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "dvlint:", err)
 		return 2
-	}
-
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
 	}
 	selected, err := selectPackages(loader.ModulePath, pkgs, patterns)
 	if err != nil {
@@ -109,48 +114,59 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// selectPackages filters the loaded packages down to the given patterns.
-// Supported forms: "./..." and "." (whole module), "./dir" (one package),
-// "./dir/..." (a subtree). A pattern matching no loaded package is an
-// error — a typoed path silently linting nothing would defeat the gate.
-func selectPackages(modPath string, pkgs []*lint.Package, patterns []string) ([]*lint.Package, error) {
-	type matcher struct {
-		pattern   string
-		path      string
-		recursive bool
-		hits      int
-	}
-	matchers := make([]*matcher, 0, len(patterns))
-	for _, pat := range patterns {
-		m := &matcher{pattern: pat}
+// pattern is one parsed package pattern: a directory relative to the
+// module root ("" for the root) and whether it covers the subtree below.
+type pattern struct {
+	text      string
+	dir       string
+	recursive bool
+}
+
+// parsePatterns checks the syntax of the package patterns. Supported
+// forms: "./..." and "." (whole module), "./dir" (one package),
+// "./dir/..." (a subtree).
+func parsePatterns(args []string) ([]pattern, error) {
+	patterns := make([]pattern, 0, len(args))
+	for _, arg := range args {
+		p := pattern{text: arg}
 		switch {
-		case pat == "." || pat == "./...":
-			m.path, m.recursive = modPath, true
-		case strings.HasPrefix(pat, "./"):
-			rel := strings.TrimPrefix(pat, "./")
+		case arg == "." || arg == "./...":
+			p.recursive = true
+		case strings.HasPrefix(arg, "./"):
+			rel := strings.TrimPrefix(arg, "./")
 			if strings.HasSuffix(rel, "/...") {
-				m.recursive = true
+				p.recursive = true
 				rel = strings.TrimSuffix(rel, "/...")
 			}
 			rel = strings.Trim(rel, "/")
 			if rel == "" || rel == "..." {
-				m.path = modPath
-				m.recursive = true
+				p.recursive = true
 			} else {
-				m.path = modPath + "/" + filepath.ToSlash(rel)
+				p.dir = filepath.ToSlash(rel)
 			}
 		default:
-			return nil, fmt.Errorf("unsupported pattern %q (use ./dir, ./dir/... or ./...)", pat)
+			return nil, fmt.Errorf("unsupported pattern %q (use ./dir, ./dir/... or ./...)", arg)
 		}
-		matchers = append(matchers, m)
+		patterns = append(patterns, p)
 	}
+	return patterns, nil
+}
+
+// selectPackages filters the loaded packages down to the patterns. A
+// pattern matching no loaded package is an error — a typoed path silently
+// linting nothing would defeat the gate.
+func selectPackages(modPath string, pkgs []*lint.Package, patterns []pattern) ([]*lint.Package, error) {
+	hits := make([]int, len(patterns))
 	var out []*lint.Package
 	for _, pkg := range pkgs {
 		matched := false
-		for _, m := range matchers {
-			ok := pkg.Path == m.path || (m.recursive && strings.HasPrefix(pkg.Path, m.path+"/"))
-			if ok {
-				m.hits++
+		for i, p := range patterns {
+			path := modPath
+			if p.dir != "" {
+				path += "/" + p.dir
+			}
+			if pkg.Path == path || (p.recursive && strings.HasPrefix(pkg.Path, path+"/")) {
+				hits[i]++
 				matched = true
 			}
 		}
@@ -158,9 +174,9 @@ func selectPackages(modPath string, pkgs []*lint.Package, patterns []string) ([]
 			out = append(out, pkg)
 		}
 	}
-	for _, m := range matchers {
-		if m.hits == 0 {
-			return nil, fmt.Errorf("pattern %q matches no Go packages in module %s", m.pattern, modPath)
+	for i, p := range patterns {
+		if hits[i] == 0 {
+			return nil, fmt.Errorf("pattern %q matches no Go packages in module %s", p.text, modPath)
 		}
 	}
 	return out, nil

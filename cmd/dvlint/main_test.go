@@ -35,6 +35,8 @@ func TestNoMatchingPackagesExits2(t *testing.T) {
 	}
 }
 
+// TestUnsupportedPatternExits2: a malformed pattern is a usage error,
+// reported before the module is loaded.
 func TestUnsupportedPatternExits2(t *testing.T) {
 	t.Parallel()
 	code, _, stderr := exec(t, "/absolute/path")
@@ -43,6 +45,44 @@ func TestUnsupportedPatternExits2(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "unsupported pattern") {
 		t.Fatalf("stderr: %q", stderr)
+	}
+}
+
+// TestParsePatterns pins the pattern syntax: the forms it accepts, the
+// directory and depth each selects, and the forms it rejects.
+func TestParsePatterns(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		arg       string
+		dir       string
+		recursive bool
+		bad       bool
+	}{
+		{arg: ".", recursive: true},
+		{arg: "./...", recursive: true},
+		{arg: ".//", recursive: true},
+		{arg: "./.../...", recursive: true},
+		{arg: "./internal/sim", dir: "internal/sim"},
+		{arg: "./internal/sim/", dir: "internal/sim"},
+		{arg: "./internal/...", dir: "internal", recursive: true},
+		{arg: "./cmd/dvlint/...", dir: "cmd/dvlint", recursive: true},
+		{arg: "", bad: true},
+		{arg: "..", bad: true},
+		{arg: "internal/sim", bad: true},
+		{arg: "/absolute/path", bad: true},
+		{arg: "dvsync/internal/sim", bad: true},
+	} {
+		got, err := parsePatterns([]string{tc.arg})
+		if tc.bad {
+			if err == nil || !strings.Contains(err.Error(), "unsupported pattern") {
+				t.Errorf("%q: parsed as %+v (err %v), want an unsupported-pattern error", tc.arg, got, err)
+			}
+			continue
+		}
+		want := pattern{text: tc.arg, dir: tc.dir, recursive: tc.recursive}
+		if err != nil || len(got) != 1 || got[0] != want {
+			t.Errorf("%q: parsed as %+v (err %v), want %+v", tc.arg, got, err, want)
+		}
 	}
 }
 

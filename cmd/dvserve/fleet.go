@@ -13,6 +13,12 @@ import (
 // and small, never bulk data.
 const maxFleetSpecBytes = 1 << 20
 
+// errorEvent is the payload of a terminal SSE error event, matching the
+// JSON body writeError sends before streaming starts.
+type errorEvent struct {
+	Error string `json:"error"`
+}
+
 // fleetHandler serves POST /fleet: a JSON census spec in, an SSE stream
 // out — one `cohort` event per cohort as its aggregate completes, then a
 // terminal `fleet` event with the full census result. The engine is

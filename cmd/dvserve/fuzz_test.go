@@ -9,8 +9,9 @@ import (
 
 // FuzzWithQuery feeds arbitrary query strings through the override path
 // every endpoint uses (url.ParseQuery, as r.URL.Query does, then
-// params.withQuery). It must never panic, and accepted parameters must
-// satisfy newParams' bounds.
+// params.withQuery). It must never panic, accepted parameters must
+// satisfy newParams' bounds, and the simulator must accept the config
+// they build: that is why runner.serve has no error to return.
 func FuzzWithQuery(f *testing.F) {
 	def, err := newParams("dvsync", 60, 4, 120, 1, "", 0.5)
 	if err != nil {
@@ -32,6 +33,8 @@ func FuzzWithQuery(f *testing.F) {
 		"bogus=1&mod=vsync",
 		"mode=dvsync&mode=vsync&seed=9223372036854775807",
 		"%zz&hz=60",
+		"fault=stall&severity=0&hz=1000&buffers=64&frames=100000",
+		"fault=alloc&severity=1&hz=1&buffers=2&frames=1",
 	} {
 		f.Add(seed)
 	}
@@ -54,6 +57,9 @@ func FuzzWithQuery(f *testing.F) {
 			t.Fatalf("fault class %q with fault config %v", p.fault, p.faults)
 		case p.faults != nil && !(p.severity >= 0 && p.severity <= 1):
 			t.Fatalf("accepted severity %v", p.severity)
+		}
+		if err := sim.Validate(p.config(nil)); err != nil {
+			t.Fatalf("accepted %q, which the simulator rejects: %v", raw, err)
 		}
 	})
 }

@@ -15,8 +15,7 @@
 //	GET /snapshot    JSON snapshot (schema: internal/telemetry.Snapshot)
 //	GET /stream      SSE: one columns event, a sample event per sampled
 //	                 row in virtual-time order, a final snapshot, then an
-//	                 anomaly event per dump the run would capture; a run
-//	                 that dies mid-stream ends with an error event
+//	                 anomaly event per dump the run would capture
 //	POST /fleet      JSON census spec in, SSE out: one cohort event per
 //	                 cohort (followed by anomaly events naming its dumps),
 //	                 then a terminal fleet event (DESIGN.md §14)
@@ -38,14 +37,9 @@
 // /metrics, /snapshot and /stream bodies on every request, so diffs
 // between scrapes are parameter changes, never noise. The server runs a
 // parameter set once and keeps the finished run for the newest 16 sets:
-// repeat requests encode it and simulate nothing.
-//
-// With -checkpoint-dir, every request runs its scenario, writing a replay
-// marker every -checkpoint-every of virtual time, and /stream writes each
-// row as the run samples it; a run interrupted by a crash resumes on the
-// next identical request by replaying the run to its last good marker —
-// determinism makes the recovered exports and streams byte-identical to
-// an uninterrupted run's.
+// repeat requests encode it and simulate nothing. The server keeps no
+// state across restarts and needs none: after a crash, the same request
+// runs the same scenario again and gets the same bytes.
 package main
 
 import (
@@ -55,8 +49,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-
-	"dvsync"
 )
 
 func main() {
@@ -75,16 +67,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dvserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr      = fs.String("addr", "127.0.0.1:8377", "listen address")
-		mode      = fs.String("mode", "dvsync", "default scenario architecture: vsync or dvsync")
-		hz        = fs.Int("hz", 60, "default panel refresh rate")
-		buffers   = fs.Int("buffers", 4, "default buffer count")
-		frames    = fs.Int("frames", 240, "default workload frames")
-		seed      = fs.Int64("seed", 1, "default workload seed")
-		fault     = fs.String("fault", "", "default fault class injected into runs (see dvsim -fault-list)")
-		severity  = fs.Float64("fault-severity", 0.5, "default fault severity in [0, 1]")
-		ckptDir   = fs.String("checkpoint-dir", "", "checkpoint runs here and resume interrupted ones on the next identical request")
-		ckptEvery = fs.Float64("checkpoint-every", 500, "checkpoint cadence (virtual ms, with -checkpoint-dir)")
+		addr     = fs.String("addr", "127.0.0.1:8377", "listen address")
+		mode     = fs.String("mode", "dvsync", "default scenario architecture: vsync or dvsync")
+		hz       = fs.Int("hz", 60, "default panel refresh rate")
+		buffers  = fs.Int("buffers", 4, "default buffer count")
+		frames   = fs.Int("frames", 240, "default workload frames")
+		seed     = fs.Int64("seed", 1, "default workload seed")
+		fault    = fs.String("fault", "", "default fault class injected into runs (see dvsim -fault-list)")
+		severity = fs.Float64("fault-severity", 0.5, "default fault severity in [0, 1]")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -93,22 +83,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err == nil && fs.NArg() != 0 {
 		err = usageError{fmt.Sprintf("unexpected argument %q", fs.Arg(0))}
 	}
-	if err == nil && *ckptDir != "" && *ckptEvery <= 0 {
-		err = usageError{fmt.Sprintf("non-positive checkpoint cadence %v", *ckptEvery)}
-	}
 	if err != nil {
 		fmt.Fprintln(stderr, "dvserve:", err)
 		fs.Usage()
 		return 2
 	}
-	rn := &runner{dir: *ckptDir, every: dvsync.FromMillis(*ckptEvery)}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(stderr, "dvserve:", err)
 		return 1
 	}
 	fmt.Fprintf(stdout, "dvserve listening on %s\n", ln.Addr())
-	if err := http.Serve(ln, newServer(def, rn)); err != nil {
+	if err := http.Serve(ln, newServer(def, &runner{})); err != nil {
 		fmt.Fprintln(stderr, "dvserve:", err)
 		return 1
 	}

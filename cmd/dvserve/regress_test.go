@@ -12,39 +12,6 @@ import (
 	"dvsync"
 )
 
-// TestStreamErrorEvent: a run that dies after the stream has started must
-// end with a terminal SSE `error` event — before the fix the error was
-// swallowed once the columns event was out and clients saw a silently
-// truncated stream.
-func TestStreamErrorEvent(t *testing.T) {
-	rn := &runner{dir: t.TempDir(), every: dvsync.FromMillis(200)}
-	rn.crashAfter = dvsync.Time(dvsync.FromMillis(600))
-	srv := testServerWith(t, rn)
-
-	code, body := get(t, srv.URL+"/stream?frames=240")
-	if code != 200 {
-		t.Fatalf("status %d, want 200 (the stream had already started when the run died)", code)
-	}
-	if !strings.Contains(body, "event: columns\n") || !strings.Contains(body, "event: sample\n") {
-		t.Fatalf("stream carried no data before the crash:\n%.300s", body)
-	}
-	if strings.Contains(body, "event: snapshot\n") {
-		t.Error("crashed stream still emitted a final snapshot")
-	}
-	idx := strings.Index(body, "event: error\ndata: ")
-	if idx < 0 {
-		t.Fatalf("no terminal error event in crashed stream:\n%.300s", body[max(0, len(body)-300):])
-	}
-	line := body[idx+len("event: error\ndata: "):]
-	line = line[:strings.Index(line, "\n")]
-	var payload struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal([]byte(line), &payload); err != nil || !strings.Contains(payload.Error, "simulated crash") {
-		t.Errorf("error event payload %q does not name the failure (%v)", line, err)
-	}
-}
-
 // TestWriteEventNonFinite: a sample row carrying NaN/Inf values must
 // still reach the stream, with the non-finite columns encoded as null —
 // before the fix json.Marshal rejected the payload and the event writer

@@ -2,9 +2,32 @@ package main
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"dvsync"
 )
+
+// runner is the finished-run cache behind /metrics, /snapshot and
+// /stream: the first request for a parameter set runs it once, and every
+// request encodes the stored run. A run is a pure function of its
+// parameters, so a request repeated after a restart, with an empty
+// cache, gets the same bytes again.
+type runner struct {
+	// cmu guards the cache; cache maps a scenario parameter set to its
+	// entry and order tracks FIFO eviction age.
+	cmu   sync.Mutex
+	cache map[scenarioKey]*runEntry
+	order []scenarioKey
+
+	// runs counts the scenario simulations the cache has run: one per
+	// miss, none per hit.
+	runs atomic.Int64
+
+	// eng is the server's fleet engine (newServer sets it). Cached
+	// scenario runs register their flight-recorder dump ids in its dump
+	// index, the one GET /anomalies serves.
+	eng *dvsync.FleetEngine
+}
 
 // runnerCacheSize bounds how many distinct parameter sets keep a finished
 // run. Past the bound the oldest entry is evicted FIFO — a scrape fleet
@@ -78,45 +101,24 @@ func (rn *runner) entry(p params) *runEntry {
 var digestRing = dvsync.NewFlightRecorder(dvsync.FlightConfig{})
 
 // serve returns p's finished run: its telemetry registry and the ids of
-// the anomaly dumps a flight recorder on the run would take. The
-// registry is read-only; handlers encode it after serve returns.
-// onSample, when non-nil, sees every sampled row in virtual-time order
-// before serve returns (the SSE stream's rows).
-//
-// Without a checkpoint directory the scenario's finished run is cached:
-// the first request for a parameter set runs it once (load), and every
-// request — that one included — hands onSample the stored rows after the
+// the anomaly dumps a flight recorder on the run would take. The first
+// request for a parameter set runs it once (load); every request, that
+// one included, gets the stored run, and handlers encode it after the
 // entry lock is released, so a slow client never holds up the others.
-// The bodies are those of a fresh run: the run is a pure function of p.
+// The registry is read-only. The bodies are those of a fresh run: the
+// run is a pure function of p, and newParams admits only parameters the
+// simulator accepts, so serving cannot fail.
+//
 // Each request indexes the ids in the fleet engine's dump index with a
 // replay of p, so GET /anomalies/{id} seals each dump on fetch by
 // replaying p under a ring, the server keeps no dump bytes, and ids the
 // index evicted come back on the next request. The replay attaches no
 // registry: observers do not change a run, so it triggers the same
 // dumps.
-//
-// Checkpointed runs keep the uncached path and onSample observes each row
-// live as the run samples it. A run resumed after a crash replays from
-// the start, so onSample sees every row of it too. They return no dump
-// ids.
-func (rn *runner) serve(p params,
-	onSample func(*dvsync.TelemetryRegistry, dvsync.TelemetrySample)) (*dvsync.TelemetryRegistry, []string, error) {
-	if rn.dir != "" {
-		reg := dvsync.NewTelemetryRegistry()
-		if onSample != nil {
-			reg.OnSample(func(row dvsync.TelemetrySample) { onSample(reg, row) })
-		}
-		_, err := rn.run(p, reg)
-		return reg, nil, err
-	}
+func (rn *runner) serve(p params) (*dvsync.TelemetryRegistry, []string) {
 	reg, ids, digest := rn.load(rn.entry(p), p)
 	rn.eng.IndexDumps(digest, func() dvsync.Config { return p.config(nil) }, ids)
-	if onSample != nil {
-		for _, row := range reg.Series().Rows {
-			onSample(reg, row)
-		}
-	}
-	return reg, ids, nil
+	return reg, ids
 }
 
 // load returns e's finished run, running p first if no request has yet.

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"slices"
 	"strings"
 	"testing"
+
+	"dvsync"
 )
 
 // scenarioPaths are the endpoints a cached scenario entry serves.
@@ -26,15 +30,52 @@ func scenarioBodies(t *testing.T, base, query string) map[string]string {
 	return bodies
 }
 
+// liveBodies encodes query's /metrics, /snapshot and /stream bodies from
+// a fresh dvsync.Run, bypassing the server's cache: the stream's rows go
+// through an sseWriter as the run samples them (OnSample), which is how a
+// live stream of the run encodes them. The stream ends at its snapshot:
+// the anomaly events name dump ids only the server derives.
+func liveBodies(t *testing.T, query string) map[string]string {
+	t.Helper()
+	q, err := url.ParseQuery(strings.TrimPrefix(query, "?"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := testDefaults(t).withQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := dvsync.NewTelemetryRegistry()
+	stream := httptest.NewRecorder()
+	sw := newSSEWriter(stream)
+	sw.retryHint(retryHintMs)
+	sentColumns := false
+	reg.OnSample(func(row dvsync.TelemetrySample) {
+		if !sentColumns {
+			sw.event("columns", reg.Series().Columns)
+			sentColumns = true
+		}
+		sw.sample(row)
+	})
+	dvsync.Run(p.config(reg))
+	sw.event("snapshot", reg.Snapshot())
+	var prom, snap bytes.Buffer
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.WriteJSON(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return map[string]string{"/metrics": prom.String(), "/snapshot": snap.String(), "/stream": stream.Body.String()}
+}
+
 // TestScenarioRunsOnce: repeated /metrics, /snapshot and /stream requests
 // on one key run one simulation, and every body is byte-identical across
-// the miss, the hits and a -checkpoint-dir server, whose uncached route
-// runs each request. Past the cache bound the key runs once more and
-// serves the same bytes.
+// the miss, the hits and a live encoding of a fresh run. Past the cache
+// bound the key runs once more and serves the same bytes.
 func TestScenarioRunsOnce(t *testing.T) {
 	rn := &runner{}
 	srv := testServerWith(t, rn)
-	ckpt := testServerWith(t, &runner{dir: t.TempDir()})
 	var faulted map[string]string
 	for _, query := range []string{"?frames=60", faultedStreamQuery} {
 		before := rn.runs.Load()
@@ -50,8 +91,6 @@ func TestScenarioRunsOnce(t *testing.T) {
 			t.Errorf("%s: %d simulations for 9 requests, want 1", query, got)
 		}
 
-		// The checkpointed route derives no dump ids, so its stream is the
-		// cached stream without the trailing anomaly events.
 		ids := announcedIDs(miss["/stream"])
 		if query == faultedStreamQuery {
 			faulted = miss
@@ -61,13 +100,13 @@ func TestScenarioRunsOnce(t *testing.T) {
 		} else if len(ids) != 0 {
 			t.Fatalf("%s: the clean stream announced %v", query, ids)
 		}
-		for path, want := range scenarioBodies(t, ckpt.URL, query) {
+		for path, want := range liveBodies(t, query) {
 			got := miss[path]
 			if path == "/stream" {
 				got, _, _ = strings.Cut(got, "event: anomaly\n")
 			}
 			if got != want {
-				t.Errorf("%s%s: the cached body differs from the checkpointed route's", path, query)
+				t.Errorf("%s%s: the cached body differs from a live encoding of a fresh run", path, query)
 			}
 		}
 	}

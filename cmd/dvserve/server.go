@@ -192,11 +192,7 @@ func newServer(def params, rn *runner) http.Handler {
 		if !ok {
 			return
 		}
-		reg, _, err := rn.serve(p, nil)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "dvserve: "+err.Error())
-			return
-		}
+		reg, _ := rn.serve(p)
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w) //dvlint:ignore errflow write error to the ResponseWriter means the client went away; a handler has nowhere to propagate it
 	})
@@ -205,11 +201,7 @@ func newServer(def params, rn *runner) http.Handler {
 		if !ok {
 			return
 		}
-		reg, _, err := rn.serve(p, nil)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "dvserve: "+err.Error())
-			return
-		}
+		reg, _ := rn.serve(p)
 		w.Header().Set("Content-Type", "application/json")
 		reg.WriteJSON(w) //dvlint:ignore errflow write error to the ResponseWriter means the client went away; a handler has nowhere to propagate it
 	})
@@ -247,24 +239,14 @@ func newServer(def params, rn *runner) http.Handler {
 	return mux
 }
 
-// errorEvent is the payload of a terminal SSE error event, matching the
-// JSON body writeError sends before streaming starts.
-type errorEvent struct {
-	Error string `json:"error"`
-}
-
 // streamHandler serves one scenario run as SSE. Event order per stream:
 // one `columns` event naming the series columns, one `sample` event per
 // sampled row in virtual-time order, a final `snapshot` event carrying
 // the full export, then one `anomaly` event per dump a flight recorder on
-// the run would take, naming the ids GET /anomalies/{id} serves. A cached
-// scenario's rows are the stored rows of its one finished run — the rows
-// the run sampled, so the bytes are those of a live stream of it. With
-// -checkpoint-dir the run executes inside the request and each row is
-// written as it is sampled; when crash recovery resumes a run it replays
-// the run from the start, so the stream carries every row and is
-// byte-identical to an uninterrupted run's (a client of the crashed
-// process lost its connection with it).
+// the run would take, naming the ids GET /anomalies/{id} serves. The rows
+// are the stored rows of the scenario's one finished run — the rows the
+// run sampled, so the bytes are those of a live stream of it. The columns
+// event goes out only when the run sampled at least one row.
 // Each stream opens with a `retry:` reconnect hint, flushed at once, and
 // a host-time keepalive ticker flushes a `: keepalive` comment whenever
 // the request runs for longer than keepaliveInterval, so proxies and idle
@@ -283,21 +265,12 @@ func streamHandler(def params, rn *runner) http.HandlerFunc {
 		sw.retryHint(retryHintMs)
 		stop := sw.startKeepalive(keepaliveInterval)
 		defer stop()
-		sentColumns := false
-		reg, ids, err := rn.serve(p, func(reg *dvsync.TelemetryRegistry, row dvsync.TelemetrySample) {
-			if !sentColumns {
-				sw.event("columns", reg.Series().Columns)
-				sentColumns = true
+		reg, ids := rn.serve(p)
+		if series := reg.Series(); len(series.Rows) > 0 {
+			sw.event("columns", series.Columns)
+			for _, row := range series.Rows {
+				sw.sample(row)
 			}
-			sw.sample(row)
-		})
-		if err != nil {
-			// The stream is already flowing (the retry hint opened it): the
-			// status line is gone, so a terminal error event is the only way
-			// to tell the client the run died. Swallowing the error here
-			// left clients with a silently truncated stream.
-			sw.event("error", errorEvent{Error: "dvserve: " + err.Error()})
-			return
 		}
 		sw.event("snapshot", reg.Snapshot())
 		for _, id := range ids {

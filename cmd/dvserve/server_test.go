@@ -39,7 +39,6 @@ func TestUsageErrors(t *testing.T) {
 		{"-frames", "-5"},
 		{"-fault", "bogus"},
 		{"-fault", "stall", "-fault-severity", "1.5"},
-		{"-checkpoint-dir", "x", "-checkpoint-every", "0"},
 		{"stray-arg"},
 	}
 	for _, args := range cases {
@@ -63,13 +62,19 @@ func testServer(t *testing.T) *httptest.Server {
 	return testServerWith(t, &runner{})
 }
 
-func testServerWith(t *testing.T, rn *runner) *httptest.Server {
+// testDefaults is the default scenario of every test server.
+func testDefaults(t *testing.T) params {
 	t.Helper()
 	def, err := newParams("dvsync", 60, 4, 120, 1, "", 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newServer(def, rn))
+	return def
+}
+
+func testServerWith(t *testing.T, rn *runner) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(newServer(testDefaults(t), rn))
 	t.Cleanup(srv.Close)
 	return srv
 }

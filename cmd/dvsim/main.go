@@ -15,24 +15,18 @@
 package main
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"dvsync"
 	"dvsync/internal/autotest"
-	"dvsync/internal/checkpoint"
 	"dvsync/internal/exp"
 	"dvsync/internal/flight"
 	"dvsync/internal/scenarios"
 	"dvsync/internal/sim"
-	"dvsync/internal/simtime"
 	"dvsync/internal/workload"
 )
 
@@ -64,13 +58,7 @@ func main() {
 		faultSeed = flag.Int64("fault-seed", 1, "fault-injection RNG seed")
 		faultList = flag.Bool("fault-list", false, "list fault classes and exit")
 		fallback  = flag.Bool("fallback", false, "enable the supervised D-VSync→VSync fallback (§4.5)")
-
-		ckptDir   = flag.String("checkpoint-dir", "", "periodically checkpoint the run into this directory")
-		ckptEvery = flag.Float64("checkpoint-every", 500, "checkpoint interval (virtual ms, with -checkpoint-dir)")
-		resume    = flag.Bool("resume", false, "resume from the newest checkpoint in -checkpoint-dir by replaying the run to it (fresh start if none)")
-		digestOut = flag.Bool("trace-digest", false, "record a structured trace and print its sha256 (for resume-equivalence checks)")
 		flightOut = flag.String("flight", "", "attach the flight recorder and write its anomaly dumps into this directory")
-		crashMs   = flag.Float64("crash-after-ms", 0, "exit(3) after the first checkpoint at or past this virtual time (crash-recovery testing, with -checkpoint-dir)")
 	)
 	flag.Parse()
 
@@ -96,30 +84,6 @@ func main() {
 		os.Exit(2)
 	}
 	harden = hardening{faults: faults, fallback: *fallback}
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "dvsim: -resume requires -checkpoint-dir")
-		os.Exit(2)
-	}
-	if *ckptDir != "" && *ckptEvery <= 0 {
-		fmt.Fprintln(os.Stderr, "dvsim: -checkpoint-every must be positive")
-		os.Exit(2)
-	}
-	if *crashMs < 0 {
-		fmt.Fprintln(os.Stderr, "dvsim: -crash-after-ms must not be negative")
-		os.Exit(2)
-	}
-	if *crashMs > 0 && *ckptDir == "" {
-		// Without checkpoints no pause ever reaches the crash point, so
-		// the flag would do nothing.
-		fmt.Fprintln(os.Stderr, "dvsim: -crash-after-ms requires -checkpoint-dir")
-		os.Exit(2)
-	}
-	ckpt = checkpointing{dir: *ckptDir, everyMs: *ckptEvery, resume: *resume,
-		traceDigest: *digestOut, crashAfterMs: *crashMs}
-	if *flightOut != "" && *digestOut {
-		fmt.Fprintln(os.Stderr, "dvsim: -flight and -trace-digest are mutually exclusive (the ring retains a window, not the full trace)")
-		os.Exit(2)
-	}
 	if *flightOut != "" && (*appName != "" || *caseName != "" || *gameName != "") {
 		fmt.Fprintln(os.Stderr, "dvsim: -flight applies to workload runs, not scenario runs")
 		os.Exit(2)
@@ -190,88 +154,12 @@ type hardening struct {
 
 var harden hardening
 
-// checkpointing carries the -checkpoint-dir flag family into every run.
-type checkpointing struct {
-	dir          string
-	everyMs      float64
-	resume       bool
-	traceDigest  bool
-	crashAfterMs float64
-}
-
-var ckpt checkpointing
-
 // flightDir is the -flight anomaly-dump directory ("" when detached).
 var flightDir string
 
-// execute runs one configuration, honouring the checkpoint flags: a plain
-// run when checkpointing is off, otherwise a periodically checkpointed run
-// with optional resume and deterministic crash injection. Each checkpoint
-// is a replay marker; every output is written after the run returns, so a
-// resumed run, which replays its prefix, writes all of them.
-func execute(cfg dvsync.Config) (*dvsync.Result, error) {
-	if ckpt.dir == "" {
-		return dvsync.Run(cfg), nil
-	}
-	store, err := checkpoint.NewStore(ckpt.dir, strings.ToLower(cfg.Mode.String()))
-	if err != nil {
-		return nil, err
-	}
-	digest := sim.ConfigDigest(cfg)
-	var sys *sim.System
-	if ckpt.resume {
-		if sys, err = resumeSystem(cfg, store, digest); err != nil {
-			return nil, err
-		}
-	} else {
-		sys = sim.New(cfg)
-	}
-	crashAt := simtime.Time(dvsync.FromMillis(ckpt.crashAfterMs))
-	r, err := sys.RunCheckpointed(simtime.Duration(dvsync.FromMillis(ckpt.everyMs)), func(at simtime.Time) error {
-		if err := store.SaveMarker(digest, at); err != nil {
-			return err
-		}
-		if ckpt.crashAfterMs > 0 && at >= crashAt {
-			fmt.Fprintf(os.Stderr, "dvsim: injected crash after checkpoint at %v\n", at)
-			os.Exit(3)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// A finished run invalidates its markers: a later -resume must start
-	// fresh rather than resume a finished run.
-	if err := store.Clear(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// resumeSystem replays a system to the newest usable replay marker in the
-// store, falling back to a fresh start when the slot is empty. A marker
-// for another config, or a payload of another schema, is an error.
-func resumeSystem(cfg dvsync.Config, store *checkpoint.Store, digest string) (*sim.System, error) {
-	at, err := store.LoadMarker(digest)
-	if errors.Is(err, fs.ErrNotExist) {
-		fmt.Fprintf(os.Stderr, "dvsim: no checkpoint for %s in %s, starting fresh\n", cfg.Mode, ckpt.dir)
-		return sim.New(cfg), nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	sys, err := sim.Resume(cfg, at)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "dvsim: resumed %s from %v\n", cfg.Mode, at)
-	return sys, nil
-}
-
 // writeFlightDumps seals every anomaly dump the ring captured into
 // -flight/<id>.dump, pinned to the run's config digest. Ids and bytes
-// are deterministic: two identical runs write identical files, and so
-// does a resumed run, whose replayed prefix takes the early dumps again.
+// are deterministic: two identical runs write identical files.
 func writeFlightDumps(ring *dvsync.FlightRing, cfg dvsync.Config) error {
 	if err := os.MkdirAll(flightDir, 0o755); err != nil {
 		return err
@@ -341,33 +229,17 @@ func runModes(mode string, hz, buffers, limit int, jitterUs float64, tr *dvsync.
 			cfg.DTV.MaxAbsErrMs = 8
 			cfg.FPEOverloadAfter = 4
 		}
-		if ckpt.traceDigest {
-			cfg.Recorder = dvsync.NewRecorder()
-		}
 		var ring *dvsync.FlightRing
 		if flightDir != "" {
 			ring = dvsync.NewFlightRecorder(dvsync.FlightConfig{})
 			cfg.Recorder = ring
 		}
-		r, err := execute(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dvsim:", err)
-			os.Exit(1)
-		}
-		printResult(r, bufs)
+		printResult(dvsync.Run(cfg), bufs)
 		if ring != nil {
 			if err := writeFlightDumps(ring, cfg); err != nil {
 				fmt.Fprintln(os.Stderr, "dvsim:", err)
 				os.Exit(1)
 			}
-		}
-		if ring == nil && cfg.Recorder != nil {
-			var buf bytes.Buffer
-			if err := dvsync.WriteEventsJSONL(&buf, cfg.Recorder.Events()); err != nil {
-				fmt.Fprintln(os.Stderr, "dvsim:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("trace-digest %s %x\n", strings.ToLower(cfg.Mode.String()), sha256.Sum256(buf.Bytes()))
 		}
 	}
 	switch mode {

@@ -180,8 +180,8 @@ var (
 	// config digest using the checkpoint envelope.
 	EncodeAnomalyDump = flight.EncodeDump
 	DecodeAnomalyDump = flight.DecodeDump
-	// ConfigDigest fingerprints a configuration for checkpoint and
-	// anomaly-dump pinning.
+	// ConfigDigest fingerprints a configuration for anomaly-dump pinning
+	// and run caches.
 	ConfigDigest = sim.ConfigDigest
 )
 

@@ -1,5 +1,5 @@
 // Package checkpoint implements the versioned, digest-pinned envelope
-// behind crash recovery and anomaly dumps (DESIGN.md §12, §15). An
+// that seals anomaly dumps (internal/flight; DESIGN.md §12, §15). An
 // envelope wraps an opaque payload with a magic string, a format version,
 // a digest of the producing configuration, a virtual-time instant, and a
 // content digest over the whole envelope. Decoding verifies all of them
@@ -7,11 +7,8 @@
 // bit-flipped envelope is rejected, never misinterpreted and never a
 // panic.
 //
-// Two payloads ride in it. A replay marker (EncodeMarker, Store.SaveMarker)
-// carries only its schema: a run is a pure function of its config, so
-// the config digest and the instant are all a resume needs — it replays
-// the run to that instant. An anomaly dump (internal/flight) carries the
-// flight recorder's event window.
+// The package stores no simulator state: a run is a pure function of its
+// config, so recovering an interrupted run means running it again.
 //
 // Payloads are JSON: human-greppable, diffable, and stable under Go's
 // deterministic struct-field encoding, which is what makes byte-identical
@@ -36,13 +33,13 @@ const Magic = "dvsync-checkpoint"
 
 // Version is the current envelope format version. Decoding any other
 // version fails with a VersionError. Every anomaly dump seals it, so a
-// payload change bumps the payload's own schema (MarkerSchema, the trace
-// schema) and leaves this alone.
+// payload change bumps the payload's own schema (the trace schema) and
+// leaves this alone.
 const Version = 1
 
-// MaxSnapshotBytes bounds how much a decoder will read. Markers are a few
-// hundred bytes and dumps of real runs well under a megabyte; anything
-// approaching this cap is corrupt or hostile input.
+// MaxSnapshotBytes bounds how much a decoder will read. Dumps of real runs
+// are well under a megabyte; anything approaching this cap is corrupt or
+// hostile input.
 const MaxSnapshotBytes = 1 << 28
 
 // ErrNotCheckpoint reports input that is not a checkpoint envelope at all
@@ -59,8 +56,8 @@ func (e *VersionError) Error() string {
 }
 
 // DigestError reports a digest mismatch: the content digest (bit rot,
-// truncation mid-payload) or the config digest (resuming under a different
-// configuration than the one that produced the snapshot).
+// truncation mid-payload) or the config digest (reading an envelope under
+// a different configuration than the one that produced it).
 type DigestError struct {
 	Field     string // "state" or "config"
 	Want, Got string
@@ -85,8 +82,8 @@ func (e *CorruptError) Error() string {
 
 func (e *CorruptError) Unwrap() error { return e.Err }
 
-// Envelope is the on-disk checkpoint frame. State is the opaque simulation
-// payload; Meta carries optional caller annotations (scenario name, CLI
+// Envelope is the on-disk frame. State is the opaque payload (a dump's
+// event window); Meta carries optional caller annotations (scenario name, CLI
 // arguments) that are digest-protected but not interpreted here.
 type Envelope struct {
 	Magic        string          `json:"magic"`
@@ -97,9 +94,6 @@ type Envelope struct {
 	State        json.RawMessage `json:"state"`
 	StateDigest  string          `json:"state_digest"`
 }
-
-// At returns the snapshot's virtual-time instant.
-func (e *Envelope) At() simtime.Time { return simtime.Time(e.AtNs) }
 
 // digestOf computes the content digest: a sha256 over the digest-relevant
 // header fields and both payloads, with explicit lengths so no field can

@@ -12,7 +12,7 @@ import (
 // FuzzDecode feeds arbitrary bytes to the snapshot decoder. The contract
 // under fuzz is narrow and absolute: Decode returns (env, nil) only for a
 // digest-valid envelope, returns an error for everything else, and never
-// panics — resume paths consume untrusted files.
+// panics — dvtrace reads untrusted dump files.
 func FuzzDecode(f *testing.F) {
 	var good bytes.Buffer
 	if err := Encode(&good, "cfg", 42, []byte(`{"k":"v"}`), []byte(`{"state":1}`)); err != nil {

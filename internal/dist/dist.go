@@ -8,8 +8,8 @@
 // to reproduce that shape, with per-scenario calibration knobs.
 //
 // A stream is defined by its seed alone. Nothing captures or fast-forwards
-// a stream's position: a simulation resumed after a crash replays its run
-// from the start, so every stream redraws its values in order.
+// a stream's position: an interrupted simulation is recovered by running
+// it again from the start, so every stream redraws its values in order.
 package dist
 
 import (

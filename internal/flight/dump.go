@@ -10,12 +10,12 @@ import (
 	"dvsync/internal/trace"
 )
 
-// DumpKind is the meta stamp distinguishing anomaly dumps from replay
-// markers inside the shared envelope format.
+// DumpKind is the meta stamp distinguishing anomaly dumps from any other
+// payload sealed in the shared envelope format.
 const DumpKind = "flight-dump"
 
 // ErrNotDump reports a valid checkpoint envelope that is not an anomaly
-// dump (a replay marker, or a foreign meta stamp).
+// dump (a foreign meta stamp, or none).
 var ErrNotDump = errors.New("flight: envelope is not an anomaly dump")
 
 // dumpMeta is the envelope meta payload: enough to list an anomaly

@@ -7,9 +7,7 @@
 //
 // Everything is a function of virtual time and the event stream: the same
 // run produces the same dumps byte-for-byte at any worker width, from a
-// fresh or reused Runner, and across a crash and resume — a resumed run
-// replays its prefix into a fresh ring, so the ring holds no state a
-// checkpoint would need to carry.
+// fresh or reused Runner, and on every re-run of it.
 package flight
 
 import (

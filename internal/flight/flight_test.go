@@ -208,7 +208,7 @@ func TestDumpEncodeDecodeRoundTrip(t *testing.T) {
 	if _, _, err := DecodeDump(bytes.NewReader(sealed), "0000"); !errors.As(err, &dgErr) {
 		t.Errorf("wrong digest: err %v, want *checkpoint.DigestError", err)
 	}
-	// A plain checkpoint (foreign meta) is ErrNotDump.
+	// An envelope with a foreign meta stamp is ErrNotDump.
 	var plain bytes.Buffer
 	if err := checkpoint.Encode(&plain, digest, 0, []byte(`{"kind":"other"}`), []byte(`{}`)); err != nil {
 		t.Fatal(err)

@@ -62,8 +62,7 @@ func BenchmarkRunnerReuse(b *testing.B) {
 
 // BenchmarkConfigDigest measures one digest of the fleet-census
 // benchmark's 600-frame cell: the census keys every cell it has not seen
-// by this digest, and dvserve, dvsim's checkpoints and flight dumps take
-// it once per run.
+// by this digest, and dvserve and flight dumps take it once per run.
 func BenchmarkConfigDigest(b *testing.B) {
 	cfg := fleetCellConfig(ModeDVSync)
 	b.ReportAllocs()

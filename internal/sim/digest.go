@@ -19,9 +19,8 @@ import (
 // cfgDigestView mirrors Config's deterministic fields for digesting.
 // Closures and interfaces cannot be serialised, so they contribute
 // presence booleans: a run with a predictor (or recorder, registry, LTPO
-// policy…) attached writes different outputs than one without, so a
-// replay marker or dump written under one presence never names a run
-// under the other.
+// policy…) attached writes different outputs than one without, so a dump
+// written under one presence never names a run under the other.
 type cfgDigestView struct {
 	Mode               Mode
 	PanelName          string
@@ -109,8 +108,7 @@ func digestView(cfg Config) cfgDigestView {
 // traceCostsKey is the JSON key the streamed trace costs follow.
 var traceCostsKey = []byte(`"TraceCosts":`)
 
-// ConfigDigest fingerprints a configuration for replay markers, flight
-// dumps and caches: two configs with the same digest wire identical
+// ConfigDigest fingerprints a configuration for flight dumps and caches: two configs with the same digest wire identical
 // simulations (up to the behaviour of attached closures, which contribute
 // presence only — see cfgDigestView). The digest is computed over the
 // normalized config, so a digest taken before New and one taken after
@@ -175,56 +173,4 @@ func appendCost(b []byte, c workload.Cost) []byte {
 	b = append(b, `,"Class":`...)
 	b = strconv.AppendInt(b, int64(c.Class), 10)
 	return append(b, '}')
-}
-
-// Resume wires a fresh simulation from cfg and replays it to the instant
-// at, the instant a replay marker names. A run is a pure function of its
-// config and trace, so the replayed system is the straight run paused at
-// at: Run (or RunCheckpointed) completes it with every output
-// byte-identical to an uninterrupted run's, and the attached sinks hold
-// what the straight run had written by then — nothing is muted during
-// the replay. cfg must be the configuration that wrote the marker
-// (callers crossing a process boundary verify ConfigDigest first). An
-// instant past the run's end replays the whole run.
-func Resume(cfg Config, at simtime.Time) (*System, error) {
-	if err := Validate(cfg); err != nil {
-		return nil, err
-	}
-	if at < 0 {
-		return nil, fmt.Errorf("sim: resume at negative instant %v", at)
-	}
-	s := New(cfg)
-	s.prepare()
-	s.runTo(min(at, s.horizonEnd()))
-	return s, nil
-}
-
-// RunCheckpointed executes the run like Run, pausing every interval of
-// virtual time to hand fn the paused instant (which typically seals a
-// replay marker into a checkpoint.Store). An fn error aborts the run.
-// Pauses stop once the run ends or its next interval would reach the
-// horizon, so the final stretch runs uninterrupted and the result is
-// identical to a plain Run's.
-func (s *System) RunCheckpointed(every simtime.Duration, fn func(at simtime.Time) error) (*Result, error) {
-	if every <= 0 {
-		return nil, fmt.Errorf("sim: non-positive checkpoint interval %v", every)
-	}
-	if fn == nil {
-		return nil, fmt.Errorf("sim: RunCheckpointed without a checkpoint sink")
-	}
-	if !s.prepared {
-		s.prepare()
-	}
-	end := s.horizonEnd()
-	for at := s.engine.Now().Add(every); at < end; at = at.Add(every) {
-		s.runTo(at)
-		if s.engine.Err() != nil || s.engine.Stopped() {
-			break
-		}
-		if err := fn(at); err != nil {
-			return nil, err
-		}
-	}
-	s.runTo(end)
-	return s.finish(), nil
 }

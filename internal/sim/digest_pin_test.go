@@ -49,13 +49,13 @@ func digestPinCases() []struct {
 	awkward := "q\"b\\l<a&s\u2028x\xffz"
 	awkwardPanel := panel60()
 	awkwardPanel.Name = awkward
-	full := faultedCkptConfig(ModeDVSync)
+	full := faultedGoldenConfig(ModeDVSync)
 	full.Panel.RefreshHz = 120
 	full.LTPOPolicy = ltpo.DefaultUIPolicy()
-	full.LTPOVelocity = ltpoCkptConfig().LTPOVelocity
+	full.LTPOVelocity = ltpoGoldenConfig().LTPOVelocity
 	full.Metrics = telemetry.NewRegistry()
 	full.MetricsInterval = 50 * simtime.Millisecond
-	cp := ckptProfile()
+	cp := goldenProfile()
 	floats := Config{Mode: ModeDVSync, Panel: panel60(), Buffers: 4,
 		Trace: scripted("floats", 5, 9, 21),
 		DTV: core.DTVConfig{CalibrateEvery: 3, PeriodSmoothing: 1e-7,
@@ -97,7 +97,7 @@ func digestPinCases() []struct {
 
 // digestPins are the SHA-256 digests of digestPinCases, computed with the
 // json.Marshal encoder ConfigDigest used before the trace costs were
-// streamed. A digest keys checkpoints, flight dumps, dump ids and the
+// streamed. A digest keys flight dumps, dump ids, dvserve's scenario cache and the
 // census result cache, so none of these may move without a schema bump.
 var digestPins = map[string]string{
 	"nil-trace":                              "f84c059c0c5002caddd585a5d57a6e3913386a9e8510ccad86ce3d479fa5fbe8",

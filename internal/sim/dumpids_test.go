@@ -37,19 +37,19 @@ func bareAndRingIDs(cfg Config, limit int) (derived, ring []string) {
 }
 
 // TestDerivedDumpIDsFaultedSweep: over seeded variants of the faulted
-// checkpoint scenario in both modes, whole and cut by MaxSimTime at
+// golden scenario in both modes, whole and cut by MaxSimTime at
 // instants around every episode onset, the ids a bare run derives equal
 // the ids a ring on the run takes. D-VSync runs reach the fallback
 // trigger, and the cuts put onsets just before and just after the last
 // recorded event.
 func TestDerivedDumpIDsFaultedSweep(t *testing.T) {
 	cuts := []float64{0, 503, 1180, 1306, 2104, 2810, 3706, 4580}
-	p := ckptProfile()
+	p := goldenProfile()
 	kinds := map[string]int{}
 	for _, mode := range []Mode{ModeVSync, ModeDVSync} {
 		for _, cut := range cuts {
 			for seed := int64(0); seed < 40; seed++ {
-				cfg := faultedCkptConfig(mode)
+				cfg := faultedGoldenConfig(mode)
 				cfg.Trace = p.Generate(400, 1000+seed)
 				cfg.Faults.Seed = seed
 				cfg.MaxSimTime = simtime.FromMillis(cut)
@@ -75,7 +75,7 @@ func TestDerivedDumpIDsFaultedSweep(t *testing.T) {
 // at 316.7 ms, and its last recorded event is a pipeline event at
 // 368.1 ms.
 func tailConfig(onsetMs float64) Config {
-	p := ckptProfile()
+	p := goldenProfile()
 	return Config{Mode: ModeVSync, Panel: panel60(), Buffers: 3,
 		Trace: p.Generate(400, 370), MaxSimTime: 370 * simtime.Millisecond,
 		Faults: &fault.Config{Seed: 5, Stalls: []fault.Episode{
@@ -118,7 +118,7 @@ func FuzzDerivedDumpIDs(f *testing.F) {
 	f.Add(uint8(1), uint8(7), uint8(0), uint16(0), int64(3), uint16(60), uint16(0), false, uint8(1))
 	f.Fuzz(func(t *testing.T, mode, class, severity uint8, onsetMs uint16, seed int64,
 		frames, cutMs uint16, fallback bool, limit uint8) {
-		p := ckptProfile()
+		p := goldenProfile()
 		cfg := Config{Mode: Mode(mode % 2), Panel: panel60(), Buffers: 3 + int(mode/2%3),
 			Trace:          p.Generate(1+int(frames%400), seed),
 			MaxSimTime:     simtime.Duration(cutMs) * simtime.Millisecond,

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"slices"
 	"testing"
 
 	"dvsync/internal/fault"
@@ -31,7 +30,7 @@ func faultClassConfig(cls string) Config {
 	if err != nil {
 		panic(err)
 	}
-	p := ckptProfile()
+	p := goldenProfile()
 	cfg := Config{
 		Mode: ModeDVSync, Panel: panel60(), Buffers: 4,
 		Trace:            p.Generate(400, 1234),
@@ -47,11 +46,11 @@ func faultClassConfig(cls string) Config {
 	return cfg
 }
 
-// attrScenarios is the golden set: every checkpoint scenario plus one
+// attrScenarios is the golden set: every golden scenario plus one
 // scenario per sweepable fault class.
 func attrScenarios() []attrScenario {
 	var scs []attrScenario
-	for _, sc := range ckptScenarios() {
+	for _, sc := range goldenScenarios() {
 		scs = append(scs, attrScenario{name: sc.name, mk: sc.mk})
 	}
 	for _, cls := range fault.Classes() {
@@ -176,8 +175,7 @@ func flightMk(mk func() Config) func() Config {
 }
 
 // flightDigest folds a finished run's anomaly dumps — ids and sealed
-// envelope bytes, in trigger order with resume-aligned indices — into one
-// hex digest.
+// envelope bytes, in trigger order — into one hex digest.
 func flightDigest(cfg Config) (string, error) {
 	ids, sealed, err := sealedDumps(cfg)
 	if err != nil {
@@ -193,7 +191,7 @@ func flightDigest(cfg Config) (string, error) {
 }
 
 // sealedDumps encodes every dump the config's ring holds, named by
-// Ring.DumpIDs, so a resumed run's ids line up with the straight run's.
+// Ring.DumpIDs.
 func sealedDumps(cfg Config) ([]string, [][]byte, error) {
 	ring, ok := cfg.Recorder.(*flight.Ring)
 	if !ok {
@@ -218,7 +216,7 @@ func sealedDumps(cfg Config) ([]string, [][]byte, error) {
 // fresh run, from a reused Runner (three rounds), and at worker widths
 // 1, 4 and 8.
 func TestFlightDumpsDeterministic(t *testing.T) {
-	scs := ckptScenarios()
+	scs := goldenScenarios()
 	type out struct {
 		fresh  string
 		reused []string
@@ -276,50 +274,5 @@ func TestFlightDumpsDeterministic(t *testing.T) {
 				t.Errorf("workers=%d %s: dumps differ from workers=1", w, scs[i].name)
 			}
 		}
-	}
-}
-
-// TestFlightDumpsSurviveResume: a run resumed from a mid-run marker
-// replays its prefix into a fresh ring, so it takes every dump the
-// straight run takes, pre-cut ones included: the same ids in the same
-// order, and the same sealed bytes.
-func TestFlightDumpsSurviveResume(t *testing.T) {
-	for _, sc := range ckptScenarios() {
-		sc := sc
-		t.Run(sc.name, func(t *testing.T) {
-			mk := flightMk(sc.mk)
-			cfg := mk()
-			if _, err := TryRun(cfg); err != nil {
-				t.Fatal(err)
-			}
-			wantIDs, wantSealed, err := sealedDumps(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, cut := range sc.cuts {
-				cfg1 := mk()
-				at, err := pauseAt(New(cfg1), cut)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sys, cfg2, err := resumeFromMarker(mk, ConfigDigest(cfg1), at)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sys.Run()
-				gotIDs, gotSealed, err := sealedDumps(cfg2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(gotIDs, wantIDs) {
-					t.Fatalf("cut %v: resumed run dumps %v, straight run %v", cut, gotIDs, wantIDs)
-				}
-				for i := range gotIDs {
-					if !bytes.Equal(gotSealed[i], wantSealed[i]) {
-						t.Errorf("cut %v dump %s: sealed bytes differ from the straight run's", cut, gotIDs[i])
-					}
-				}
-			}
-		})
 	}
 }

@@ -89,7 +89,7 @@ func TestObserverOutputsPinned(t *testing.T) {
 			t.Errorf("%s: digest %s, pinned %q", key, got, want)
 		}
 	}
-	for _, sc := range ckptScenarios() {
+	for _, sc := range goldenScenarios() {
 		for _, set := range pinnedSets {
 			cfg := sc.mk()
 			set.apply(&cfg)
@@ -170,7 +170,7 @@ func TestObserversLeaveRunUnchanged(t *testing.T) {
 		limit int // engine instant limit; 0 keeps the default
 	}
 	var scs []scenario
-	for _, sc := range ckptScenarios() {
+	for _, sc := range goldenScenarios() {
 		scs = append(scs, scenario{name: sc.name, mk: sc.mk})
 	}
 	for _, mode := range []Mode{ModeVSync, ModeDVSync} {

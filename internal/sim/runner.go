@@ -66,24 +66,14 @@ func (r *Runner) RunTrace(tr *workload.Trace) *Result {
 // (flight.New(flight.Config{})) would have taken on the last run: entry i
 // is that ring's DumpIDs(digest)[i]. It needs no ring attached —
 // observers do not change a run, so the ids are the same with or without
-// sinks — and is defined once the run has finished, whether through Run,
-// RunTrace or System().RunCheckpointed after Reset.
+// sinks — and is defined once Run or RunTrace has returned.
 func (r *Runner) DumpIDs(digest string) []string { return r.sys.dumpIDs(digest) }
 
-// Reset rewinds the graph without running, leaving the System ready for
-// segmented execution: a checkpointed run (RunCheckpointed, which pauses
-// only to hand its callback the instant) or manual engine stepping
-// through System().
-func (r *Runner) Reset() {
-	r.sys.reset(r.sys.cfg.Trace)
-	r.runs++
-}
-
-// System exposes the wired simulation for segmented runs after Reset.
-// The usual caveat applies: it is rewound, and therefore invalidated, by
-// the next Run/RunTrace/Reset.
+// System exposes the wired simulation, so callers can read the finished
+// run's engine counters (System().Engine().Fired()). It is rewound by the
+// next Run or RunTrace.
 func (r *Runner) System() *System { return r.sys }
 
-// Runs reports how many runs (or Resets) this Runner has served — the
-// observability hook for reuse-path tests and stats.
+// Runs reports how many runs this Runner has served — the observability
+// hook for reuse-path tests and stats.
 func (r *Runner) Runs() int { return r.runs }

@@ -12,8 +12,6 @@ import (
 	"runtime"
 	"testing"
 
-	"dvsync/internal/ipl"
-	"dvsync/internal/simtime"
 	"dvsync/internal/workload"
 )
 
@@ -62,7 +60,7 @@ func TestSimRunAllocs(t *testing.T) {
 // run allocates nothing, on benchTrace (BenchmarkRunnerReuse's workload)
 // and on a 200-frame trace of the checkpoint profile.
 func TestRunnerSteadyStateAllocs(t *testing.T) {
-	p := ckptProfile()
+	p := goldenProfile()
 	for _, c := range []struct {
 		name string
 		tr   *workload.Trace
@@ -72,28 +70,5 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 		if allocs, bytes := perRun(20, func() { rn.Run() }); allocs != 0 || bytes != 0 {
 			t.Errorf("%s: %d allocs, %d B per reused run, want 0", c.name, allocs, bytes)
 		}
-	}
-}
-
-// TestRunnerCheckpointedAllocs: pausing a reused Runner's run every
-// 100 ms to hand a callback the instant allocates no more than the plain
-// run does. A checkpoint is a replay marker, so the pause copies nothing
-// out of the simulator.
-func TestRunnerCheckpointedAllocs(t *testing.T) {
-	p := ckptProfile()
-	rn := NewRunner(Config{Mode: ModeDVSync, Panel: panel60(), Buffers: 4,
-		Trace: p.Generate(200, 42), Predictor: ipl.Kalman{}})
-	noop := func(simtime.Time) error { return nil }
-	checkpointed := func() {
-		rn.Reset()
-		if _, err := rn.System().RunCheckpointed(100*simtime.Millisecond, noop); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rn.Run()
-	checkpointed()
-	plain := testing.AllocsPerRun(5, func() { rn.Run() })
-	if got := testing.AllocsPerRun(5, checkpointed); got > plain {
-		t.Errorf("allocations per reused checkpointed run = %v, plain run %v", got, plain)
 	}
 }

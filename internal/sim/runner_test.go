@@ -7,7 +7,6 @@ import (
 	"dvsync/internal/flight"
 	"dvsync/internal/ipl"
 	"dvsync/internal/par"
-	"dvsync/internal/simtime"
 	"dvsync/internal/trace"
 	"dvsync/internal/workload"
 )
@@ -17,7 +16,7 @@ import (
 // produces byte-identical trace JSONL, Perfetto, telemetry exports and
 // Result scalars to a freshly wired run, on the first use and after.
 func TestRunnerReuseMatchesFresh(t *testing.T) {
-	scs := ckptScenarios()
+	scs := goldenScenarios()
 	type out struct {
 		fresh  string
 		reused []string
@@ -30,9 +29,9 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 			defer par.SetWorkers(0)
 			return par.Map(len(scs), func(i int) out {
 				sc := scs[i]
-				fresh, err := straightDigest(sc.mk)
+				fresh, err := freshDigest(sc.mk)
 				if err != nil {
-					return out{err: fmt.Errorf("straight: %w", err)}
+					return out{err: fmt.Errorf("fresh: %w", err)}
 				}
 				cfg := sc.mk()
 				rn := NewRunner(cfg)
@@ -66,7 +65,7 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 // construction trace, forcing every arena to grow — matches a fresh run
 // of each trace exactly, in any order.
 func TestRunnerTraceSwap(t *testing.T) {
-	p := ckptProfile()
+	p := goldenProfile()
 	mkCfg := func(tr *workload.Trace) Config {
 		return Config{Mode: ModeDVSync, Panel: panel60(), Buffers: 4, Trace: tr,
 			Predictor: ipl.Kalman{}, Recorder: trace.NewRecorder()}
@@ -99,54 +98,12 @@ func TestRunnerTraceSwap(t *testing.T) {
 	}
 }
 
-// reusedResumedDigest mirrors resumedDigest, except the run that pauses
-// at cut is a Runner that already served (and was rewound from) a full
-// run — the checkpoint-from-a-reused-Runner contract.
-func reusedResumedDigest(mk func() Config, cut simtime.Time) (string, error) {
-	cfg1 := mk()
-	rn := NewRunner(cfg1)
-	rn.Run() // dirty every component first
-	rn.Reset()
-	at, err := pauseAt(rn.System(), cut)
-	if err != nil {
-		return "", err
-	}
-	sys, cfg2, err := resumeFromMarker(mk, ConfigDigest(cfg1), at)
-	if err != nil {
-		return "", err
-	}
-	return outputsDigest(cfg2, sys.Run())
-}
-
-// TestCheckpointFromReusedRunner holds the resume contract on the reuse
-// path: a rewound Runner pauses where a fresh system does, and the
-// marker it leaves resumes into a run whose outputs match the straight
-// run byte for byte, for every golden scenario.
-func TestCheckpointFromReusedRunner(t *testing.T) {
-	for _, sc := range ckptScenarios() {
-		t.Run(sc.name, func(t *testing.T) {
-			want, err := straightDigest(sc.mk)
-			if err != nil {
-				t.Fatalf("straight run: %v", err)
-			}
-			got, err := reusedResumedDigest(sc.mk, sc.cuts[0])
-			if err != nil {
-				t.Fatalf("cut %v: %v", sc.cuts[0], err)
-			}
-			if got != want {
-				t.Errorf("cut %v: reused-runner resumed digest %s != straight %s",
-					sc.cuts[0], got, want)
-			}
-		})
-	}
-}
-
 // TestRunnerMapLocalStress drives per-worker Runner reuse through
 // par.MapLocal under contention (run with -race): many replicas, few
 // workers, every worker rewinding its own Runner. Results must match the
 // serial fresh-run reference at every width.
 func TestRunnerMapLocalStress(t *testing.T) {
-	p := ckptProfile()
+	p := goldenProfile()
 	const replicas = 24
 	cfg := Config{Mode: ModeDVSync, Panel: panel60(), Buffers: 4,
 		Predictor: ipl.Kalman{}}

@@ -295,7 +295,6 @@ type System struct {
 	ticks          int  // VSync-app ticks since stream start
 	appSwitch      bool // the application's §4.5 switch position
 	fallbackActive bool // the supervisor is holding the system on VSync
-	prepared       bool // buffers sized and panel started (first Run segment)
 
 	// marks holds the precomputed schema-v3 marker events (fault episode
 	// boundaries), sorted by time with details formatted at wiring time;
@@ -612,9 +611,8 @@ func (s *System) noteReAnchors(now simtime.Time) {
 //     after the jank; only a fallback to VSync counts, by its detail;
 //   - the watchdog last, at the engine's clock, after the flush.
 //
-// It reads the finished run's Result, so it is defined after any run
-// that reached finish: Run, RunCheckpointed, or either after Resume,
-// which replays the symptoms before the cut.
+// It reads the finished run's Result, so it is defined once Run has
+// returned.
 func (s *System) dumpIDs(digest string) []string {
 	var onsets []simtime.Time
 	if s.inj != nil {
@@ -1073,7 +1071,7 @@ func (s *System) Queue() *buffer.Queue { return s.queue }
 
 // normalized applies New's config defaulting, hoisted out so a
 // configuration digest computed before construction matches the wired
-// system (replay markers and dumps are pinned to the normalized config).
+// system (dumps and caches are keyed by the normalized config).
 func normalized(cfg Config) Config {
 	if cfg.PreRenderLimit == 0 {
 		cfg.PreRenderLimit = cfg.Buffers - 1
@@ -1157,11 +1155,10 @@ func (s *System) reset(tr *workload.Trace) {
 	s.nextIdx = 0
 	s.started = false
 	s.ticks = 0
-	s.prepared = false
 	s.presentPending = s.presentPending[:0]
 }
 
-// prepare runs the once-per-run setup before the first engine segment:
+// prepare runs the once-per-run setup before the engine starts:
 // size the result and trace buffers from the frame count up front (at most
 // one presented frame and latency sample per trace entry, and roughly six
 // trace records per frame — start, ui-done, queued, vsync, latched,
@@ -1170,7 +1167,6 @@ func (s *System) reset(tr *workload.Trace) {
 // buffers usually still hold enough capacity from the previous run, so
 // nothing here allocates.
 func (s *System) prepare() {
-	s.prepared = true
 	n := s.cfg.Trace.Len()
 	if cap(s.res.Presented) < n {
 		s.res.Presented = make([]*buffer.Frame, 0, n)
@@ -1203,11 +1199,9 @@ func (s *System) horizonEnd() simtime.Time {
 }
 
 // Run executes the simulation to completion (or watchdog) and returns the
-// collected result.
+// collected result. A System runs once; a Runner rewinds it between runs.
 func (s *System) Run() *Result {
-	if !s.prepared {
-		s.prepare()
-	}
+	s.prepare()
 	s.runTo(s.horizonEnd())
 	return s.finish()
 }

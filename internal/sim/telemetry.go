@@ -104,11 +104,8 @@ func (t *telemetryState) observeJank(now simtime.Time) {
 // every effect of T. The next boundary is the registry's last row plus
 // the interval (zero before the first row), so the grid needs no
 // scheduling state of its own. A run that stops takes no boundary row (finish
-// closes the series), and runTo on a stopped run does nothing.
+// closes the series).
 func (s *System) runTo(limit simtime.Time) {
-	if s.engine.Stopped() {
-		return
-	}
 	if t := s.tel; t != nil {
 		for {
 			var next simtime.Time

@@ -284,8 +284,9 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 func (r *Registry) Len() int { return len(r.metrics) }
 
 // OnSample installs a hook invoked with each new row as it is sampled —
-// the streaming tap dvserve's SSE handler feeds from. The row's Values
-// slice is owned by the series; treat it as read-only.
+// a streaming tap for consumers that encode rows while the run is still
+// going. The row's Values slice is owned by the series; treat it as
+// read-only.
 func (r *Registry) OnSample(fn func(SampleRow)) { r.onSam = fn }
 
 // Reserve preallocates ring storage for n sample rows — the capacity the

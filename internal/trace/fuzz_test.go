@@ -8,7 +8,7 @@ import (
 
 // FuzzReadJSONL feeds arbitrary bytes to the JSONL trace reader: malformed
 // lines, truncated fragments and oversized inputs must come back as errors
-// (or parse), never as panics — dvsim -resume and external tooling hand
+// (or parse), never as panics — dvtrace and external tooling hand
 // this reader untrusted files.
 func FuzzReadJSONL(f *testing.F) {
 	rec := NewRecorder()

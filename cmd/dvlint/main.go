@@ -79,12 +79,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "dvlint:", err)
 		return 2
 	}
-	pkgs, err := loader.LoadAll()
+	// Select before loading: only the selected packages and their imports
+	// are type-checked, and a pattern that matches nothing loads nothing.
+	paths, err := loader.Discover()
 	if err != nil {
 		fmt.Fprintln(stderr, "dvlint:", err)
 		return 2
 	}
-	selected, err := selectPackages(loader.ModulePath, pkgs, patterns)
+	paths, err = selectPackages(loader.ModulePath, paths, patterns)
+	if err != nil {
+		fmt.Fprintln(stderr, "dvlint:", err)
+		return 2
+	}
+	selected, err := loader.Load(paths)
 	if err != nil {
 		fmt.Fprintln(stderr, "dvlint:", err)
 		return 2
@@ -152,20 +159,20 @@ func parsePatterns(args []string) ([]pattern, error) {
 	return patterns, nil
 }
 
-// selectPackages filters the loaded packages down to the patterns. A
-// pattern matching no loaded package is an error — a typoed path silently
-// linting nothing would defeat the gate.
-func selectPackages(modPath string, pkgs []*lint.Package, patterns []pattern) ([]*lint.Package, error) {
+// selectPackages filters the module's package import paths down to the
+// patterns. A pattern matching no package is an error — a typoed path
+// silently linting nothing would defeat the gate.
+func selectPackages(modPath string, paths []string, patterns []pattern) ([]string, error) {
 	hits := make([]int, len(patterns))
-	var out []*lint.Package
-	for _, pkg := range pkgs {
+	var out []string
+	for _, pkg := range paths {
 		matched := false
 		for i, p := range patterns {
 			path := modPath
 			if p.dir != "" {
 				path += "/" + p.dir
 			}
-			if pkg.Path == path || (p.recursive && strings.HasPrefix(pkg.Path, path+"/")) {
+			if pkg == path || (p.recursive && strings.HasPrefix(pkg, path+"/")) {
 				hits[i]++
 				matched = true
 			}

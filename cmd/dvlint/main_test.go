@@ -86,6 +86,37 @@ func TestParsePatterns(t *testing.T) {
 	}
 }
 
+// TestSelectPackages pins how patterns pick import paths before anything
+// is loaded: a package matches its own pattern, a subtree pattern matches
+// the packages below it, and a pattern matching nothing is an error.
+func TestSelectPackages(t *testing.T) {
+	t.Parallel()
+	paths := []string{"m", "m/cmd/a", "m/cmd/ab", "m/internal/x", "m/internal/x/y"}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"./..."}, "m m/cmd/a m/cmd/ab m/internal/x m/internal/x/y"},
+		{[]string{"."}, "m m/cmd/a m/cmd/ab m/internal/x m/internal/x/y"},
+		{[]string{"./cmd/a"}, "m/cmd/a"},
+		{[]string{"./internal/x/..."}, "m/internal/x m/internal/x/y"},
+		{[]string{"./cmd/ab", "./internal/x"}, "m/cmd/ab m/internal/x"},
+	} {
+		patterns, err := parsePatterns(tc.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := selectPackages("m", paths, patterns)
+		if err != nil || strings.Join(got, " ") != tc.want {
+			t.Errorf("%q: selected %q (err %v), want %q", tc.args, got, err, tc.want)
+		}
+	}
+	patterns, _ := parsePatterns([]string{"./cmd", "./internal/x"})
+	if _, err := selectPackages("m", paths, patterns); err == nil || !strings.Contains(err.Error(), `"./cmd"`) {
+		t.Errorf("a pattern matching no package: err %v, want one naming it", err)
+	}
+}
+
 // TestListNamesEveryAnalyzer pins the -list output to the registered rule
 // set.
 func TestListNamesEveryAnalyzer(t *testing.T) {

@@ -71,22 +71,6 @@ func DVSyncRun(tr *workload.Trace, dev scenarios.Device, buffers int, cfg ...fun
 	return sim.Run(c)
 }
 
-// runnerFor builds a reusable Runner for a traceless experiment config.
-// The one-frame placeholder trace only satisfies construction-time
-// validation; every run swaps a real trace in through RunTrace.
-func runnerFor(cfg sim.Config) *sim.Runner {
-	cfg.Trace = placeholderTrace
-	return sim.NewRunner(cfg)
-}
-
-// placeholderTrace is the shared construction-time stand-in (read-only,
-// like all traces, so workers may share it).
-var placeholderTrace = func() *workload.Trace {
-	p := workload.Profile{Name: "placeholder", ShortMeanMs: 1, UIShare: 0.5,
-		Class: workload.Deterministic}
-	return p.Generate(1, 1)
-}()
-
 // Replicas is the number of measurement runs averaged per scenario,
 // following the paper's methodology: "Averages are derived from five runs
 // to mitigate fluctuations" (Appendix A.2). Replicas share the calibrated
@@ -262,6 +246,38 @@ func calibrating(fn func()) {
 	pprof.Do(context.TODO(), pprof.Labels("phase", "exp.calibrate"), func(context.Context) { fn() })
 }
 
+// model is one worker's recurrence for a config, with recurrenceOracle's
+// checker beside it when a test set one.
+type model struct {
+	rec   *vsyncrec.Model
+	check func(tr *workload.Trace, got *vsyncrec.Result) // recurrenceOracle's checker, or nil
+}
+
+// recurrenceOracle, when a test sets it, builds a checker beside every
+// recurrence a calibration search or an FDPS mean wires; the model hands
+// it each trace it runs with the recurrence's result, which the checker
+// compares with the event simulator's. It is nil outside tests.
+var recurrenceOracle func(cfg sim.Config) func(tr *workload.Trace, got *vsyncrec.Result)
+
+// newModel wires the recurrence for cfg's runs.
+func newModel(cfg sim.Config) model {
+	m := model{rec: recurrence(cfg)}
+	if recurrenceOracle != nil {
+		m.check = recurrenceOracle(cfg)
+	}
+	return m
+}
+
+// run runs tr on the model's recurrence. The result is the model's own
+// and the next run overwrites it.
+func (m model) run(tr *workload.Trace) *vsyncrec.Result {
+	res := m.rec.Run(tr)
+	if m.check != nil {
+		m.check(tr, res)
+	}
+	return res
+}
+
 // probe is one worker's scratch for a calibration search: the VSync
 // recurrence for the search's config, the trace buffer each probe fills,
 // and the stream that fills it. Every probe rewinds all three, so which
@@ -270,37 +286,15 @@ func calibrating(fn func()) {
 // on every config VSyncConfig builds, so probing it moves no calibration
 // bit (DESIGN.md §4).
 type probe struct {
-	rec   *vsyncrec.Model
-	tr    workload.Trace
-	g     *dist.RNG
-	check func(tr *workload.Trace, got *vsyncrec.Result) // probeOracle's checker, or nil
+	model
+	tr workload.Trace
+	g  *dist.RNG
 }
-
-// probeOracle, when a test sets it, builds a checker beside every probe a
-// search wires; the probe hands it each trace it runs with the
-// recurrence's result, which the checker compares with the event
-// simulator's. It is nil outside tests.
-var probeOracle func(cfg sim.Config) func(tr *workload.Trace, got *vsyncrec.Result)
 
 // newProbe wires a probe for a VSync search on the device and queue size.
 func newProbe(dev scenarios.Device, buffers int) *probe {
 	calibProbes.Add(1)
-	cfg := VSyncConfig(dev, buffers)
-	pr := &probe{rec: recurrence(cfg), g: dist.New(Seed)}
-	if probeOracle != nil {
-		pr.check = probeOracle(cfg)
-	}
-	return pr
-}
-
-// run runs tr on the probe's recurrence. The result is the probe's own
-// and the next run overwrites it.
-func (pr *probe) run(tr *workload.Trace) *vsyncrec.Result {
-	res := pr.rec.Run(tr)
-	if pr.check != nil {
-		pr.check(tr, res)
-	}
-	return res
+	return &probe{model: newModel(VSyncConfig(dev, buffers)), g: dist.New(Seed)}
 }
 
 // replica generates the profile's trace for seed into the probe's buffer
@@ -310,26 +304,61 @@ func (pr *probe) replica(q *workload.Profile, frames int, seed int64) spanFDPS {
 	return spanFDPS{span: span, fdps: pr.run(&pr.tr).FDPS()}
 }
 
-// recurrence wires the exact VSync recurrence for cfg's runs. Calibration
-// probes it with no event-simulator fallback, so a config outside its
-// domain panics rather than calibrate on other semantics.
+// recurrence wires the exact recurrence for cfg's runs: vsyncrec's VSync
+// model or its D-VSync model. Nothing falls back to the event simulator,
+// so a config outside both domains panics rather than run on other
+// semantics. A D-VSync caller also checks its frames (decoupled).
 func recurrence(cfg sim.Config) *vsyncrec.Model {
-	if !inRecurrenceDomain(cfg) {
-		panic("exp: config outside the VSync recurrence's domain")
+	rc := vsyncrec.Config{RefreshHz: cfg.Panel.RefreshHz, Buffers: cfg.Buffers, AppOffset: cfg.AppOffset}
+	switch {
+	case inVSyncDomain(cfg):
+		rc.Depth = cfg.VSyncPipelineDepth
+	case inDVSyncDomain(cfg):
+		rc.DVSync, rc.PreRenderLimit = true, cfg.PreRenderLimit
+	default:
+		panic("exp: config outside both recurrences' domains")
 	}
-	return vsyncrec.New(vsyncrec.Config{RefreshHz: cfg.Panel.RefreshHz, Buffers: cfg.Buffers,
-		AppOffset: cfg.AppOffset, Depth: cfg.VSyncPipelineDepth})
+	return vsyncrec.New(rc)
 }
 
-// inRecurrenceDomain reports whether the VSync recurrence reproduces
-// cfg's runs exactly (vsyncrec's package comment has the domain).
-// Observers and the D-VSync-only fields change no VSync run.
-func inRecurrenceDomain(cfg sim.Config) bool {
+// inVSyncDomain reports whether the VSync recurrence reproduces cfg's runs
+// exactly (vsyncrec's package comment has the domain). Observers and the
+// D-VSync-only fields change no VSync run.
+func inVSyncDomain(cfg sim.Config) bool {
+	return cfg.Mode == sim.ModeVSync && plainPipeline(cfg)
+}
+
+// inDVSyncDomain reports whether the D-VSync recurrence reproduces cfg's
+// runs exactly, given frames that all ride the decoupled channel
+// (decoupled): the controller stays on, and neither a runtime switch, the
+// fallback supervisor nor FPE backoff ever changes the channel or the
+// limit. Observers, the DTV settings and PerFrameOverhead change no
+// D-VSync schedule: the DTV only stamps ContentTime and DTimestamp.
+func inDVSyncDomain(cfg sim.Config) bool {
+	return cfg.Mode == sim.ModeDVSync && !cfg.DisableDVSync && cfg.RuntimeSwitch == nil &&
+		!cfg.EnableFallback && cfg.FPEOverloadAfter == 0 && plainPipeline(cfg)
+}
+
+// plainPipeline reports whether cfg has what both recurrences model: a
+// panel on its nominal grid, no faults, no LTPO, the FIFO consumer, the
+// trace-derived horizon and no content sampling.
+func plainPipeline(cfg sim.Config) bool {
 	pc := cfg.Panel
-	return cfg.Mode == sim.ModeVSync &&
-		pc.JitterStdDev == 0 && pc.PeriodSkewPPM == 0 && pc.EdgeDelay == nil && pc.EdgeMiss == nil &&
+	return pc.JitterStdDev == 0 && pc.PeriodSkewPPM == 0 && pc.EdgeDelay == nil && pc.EdgeMiss == nil &&
 		(cfg.Faults == nil || !cfg.Faults.Enabled()) && cfg.LTPOPolicy == nil &&
 		!cfg.DropStaleBuffers && cfg.MaxSimTime == 0 && cfg.ContentSample == nil
+}
+
+// decoupled reports whether every frame of tr rides the decoupled channel
+// under a D-VSync cfg: a deterministic animation frame always does, an
+// interactive one only with a predictor registered.
+func decoupled(cfg sim.Config, tr *workload.Trace) bool {
+	for _, c := range tr.Costs {
+		if c.Class != workload.Deterministic && (c.Class != workload.Interactive || cfg.Predictor == nil) {
+			return false
+		}
+	}
+	return true
 }
 
 // spanFDPS is one simulated replica trace during a calibration search: its
@@ -388,17 +417,23 @@ func CalibrateReplicas(p workload.Profile, frames int, dev scenarios.Device, buf
 	return out
 }
 
-// avgFDPS measures mean FDPS across replica traces. Replicas fan out
-// through par.MapLocal — each worker rewinds one reusable Runner wired for
-// the config instead of rebuilding the simulation graph per replica — and
-// are summed serially in index order, so the mean matches the legacy
-// serial loop exactly at any worker count.
+// avgFDPS measures mean FDPS across replica traces, each run on the exact
+// recurrence for cfg, so the mean is the event simulator's to the bit
+// (DESIGN.md §4). Like calibration, it has no event-simulator path: a
+// config or frame outside both recurrences' domains panics. Replicas fan
+// out through par.MapLocal, one recurrence per worker, and are summed
+// serially in index order, so the mean is the same at any worker count.
 func avgFDPS(traces []*workload.Trace, cfg sim.Config) float64 {
+	if cfg.Mode == sim.ModeDVSync {
+		for _, tr := range traces {
+			if !decoupled(cfg, tr) {
+				panic("exp: a frame off the decoupled channel, outside the D-VSync recurrence's domain")
+			}
+		}
+	}
 	vals := par.MapLocal(len(traces),
-		func() *sim.Runner { return runnerFor(cfg) },
-		func(rn *sim.Runner, i int) float64 {
-			return rn.RunTrace(traces[i]).FDPS()
-		})
+		func() model { return newModel(cfg) },
+		func(m model, i int) float64 { return m.run(traces[i]).FDPS() })
 	var sum float64
 	for _, v := range vals {
 		sum += v

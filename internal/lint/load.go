@@ -78,12 +78,12 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("lint: no module declaration in %s", gomod)
 }
 
-// LoadAll discovers every package under the module root (the ./... pattern)
-// and returns them loaded and type-checked, sorted by import path. Hidden
-// directories, testdata, and vendor trees are skipped, as are _test.go
-// files: the contract is enforced on code that can reach the simulation,
-// and tests are covered separately by `go test -race`.
-func (l *Loader) LoadAll() ([]*Package, error) {
+// Discover lists the import paths of every package under the module root
+// (the ./... pattern), sorted, without parsing or type-checking any of
+// them. Hidden directories, testdata, and vendor trees are skipped, as are
+// _test.go files: the contract is enforced on code that can reach the
+// simulation, and tests are covered separately by `go test -race`.
+func (l *Loader) Discover() ([]string, error) {
 	var paths []string
 	err := filepath.WalkDir(l.ModuleRoot, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -116,6 +116,12 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 		return nil, err
 	}
 	sort.Strings(paths)
+	return paths, nil
+}
+
+// Load loads and type-checks the module-local packages at paths, in
+// order. Only they and the packages they import are type-checked.
+func (l *Loader) Load(paths []string) ([]*Package, error) {
 	out := make([]*Package, 0, len(paths))
 	for _, p := range paths {
 		pkg, err := l.load(p)

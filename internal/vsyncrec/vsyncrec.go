@@ -1,17 +1,26 @@
-// Package vsyncrec is an exact recurrence of the conventional VSync
-// pipeline of the paper's Figure 2 (DESIGN.md §4), written apart from the
-// event simulator: instead of dispatching events it steps once per
-// hardware VSync edge. It has two roles. As an oracle, tests hold it equal
-// to internal/sim on seeded grids and under a fuzz target, so a wrong
-// answer in either model cannot stay pinned unnoticed (DESIGN.md §5). As
-// calibration's fast path, it answers every probe of the exp package's
-// searches, which read only a run's jank edges.
+// Package vsyncrec holds exact recurrences of the two pipelines the paper
+// compares (DESIGN.md §4), written apart from the event simulator: instead
+// of dispatching events each steps once per hardware VSync edge. One is the
+// conventional VSync pipeline of Figure 2; the other is D-VSync's decoupled
+// pipeline, whose Frame Pre-Executor (FPE, §4.3) runs frames ahead of the
+// display under the pre-render limit (Figure 10's accumulation and sync
+// stages). Both share one Result, so FDPS has one definition. They have
+// two roles. As oracles, tests hold each equal to internal/sim on seeded
+// grids and under a fuzz target, so a wrong answer in either model cannot
+// stay pinned unnoticed (DESIGN.md §5). As fast paths, the VSync model
+// answers every probe of the exp package's calibration searches, and the
+// two together compute every replica of the exp package's FDPS figures.
 //
-// The domain is a VSync run with zero jitter and skew, no faults, no LTPO,
-// no stale-buffer drop and the trace-derived horizon (sim.Config's
-// MaxSimTime 0), at any VSync-app offset and pipeline depth. Observers (a
-// trace sink, a telemetry registry) never change a run, so they are in the
-// domain too.
+// Both domains have a panel on its nominal grid (no jitter, skew, edge
+// delay or edge miss), no faults, no LTPO, no stale-buffer drop, no
+// content sampling and the trace-derived horizon (sim.Config's MaxSimTime
+// 0), at any VSync-app offset. The VSync model takes any pipeline depth.
+// The D-VSync model takes any pre-render limit, with the controller on, no
+// runtime switch, fallback or FPE backoff, and every frame on the
+// decoupled channel (a deterministic animation, or interactive input with
+// a predictor registered). Observers (a trace sink, a telemetry registry)
+// never change a run, and the Display Time Virtualizer only stamps
+// timestamps, so they are in the domains too.
 //
 // The ordering rules all follow from the engine's event priorities: at one
 // instant hardware edges fire first, then delayed software signals, then
@@ -19,21 +28,38 @@
 //
 //   - A buffer can be latched at edge t only if its render stage finished
 //     strictly before t.
-//   - At each edge the latch-or-jank decision runs before the VSync-app
-//     tick; a zero-offset tick is delivered inside the edge.
+//   - At each edge the latch-or-jank decision runs before any frame starts
+//     at that instant; a zero-offset VSync-app tick is delivered inside the
+//     edge, after the latch.
 //   - A jank needs a front buffer and an unfinished stream: an index not
 //     yet started, or a frame in flight or queued. Its key-frame flag is
 //     whether the oldest in-flight frame's UI + RS cost exceeds the period.
+//   - A started frame's render stage begins at max(its UI done, the
+//     previous render done).
+//   - The run stops at the first edge where the stream is done and nothing
+//     is queued, or else at the horizon, (n+64)·8 periods + 1 s: edges,
+//     ticks and completions after it never fire.
+//
+// VSync starts frames only at VSync-app ticks:
+//
 //   - Tick j targets slot min(j, n−1). It starts that slot if the slot is
 //     at or past the next index, the UI stage is free (busy-until ≤ the
 //     tick, a time comparison), a buffer is free (Buffers − in flight −
 //     queued − front) and fewer than Depth frames are in flight or queued.
 //     Slots between the next index and the target are skipped.
-//   - A started frame's render stage begins at max(its UI done, the
-//     previous render done).
-//   - The run stops at the first edge where the stream is done and nothing
-//     is queued, or else at the horizon, (n+64)·8 periods + 1 s: edges and
-//     ticks after it never fire.
+//
+// D-VSync's FPE pumps: it starts the next index, never skipping one, for
+// as long as the UI stage is free, fewer than the pre-render limit are in
+// flight or queued and a buffer is free.
+//
+//   - Pumps run at every VSync-app tick (the first tick opens the stream),
+//     at every latching edge just after the latch, and at every UI-stage
+//     completion. Render completions change neither count, so they never
+//     pump.
+//   - The conditions only clear at a pump instant: the UI stage frees at
+//     its completion and a slot at a latch. So the next frame starts at
+//     max(the last start's UI completion, the first tick, the last latch),
+//     once the limit and a buffer allow, and later ticks start nothing.
 package vsyncrec
 
 import (
@@ -44,7 +70,7 @@ import (
 	"dvsync/internal/workload"
 )
 
-// Config is a VSync pipeline inside the recurrence's domain.
+// Config is a pipeline inside one of the recurrences' domains.
 type Config struct {
 	// RefreshHz is the panel rate: edge k fires at k·PeriodForHz(RefreshHz).
 	RefreshHz int
@@ -52,9 +78,14 @@ type Config struct {
 	Buffers int
 	// AppOffset delays each VSync-app tick after its hardware edge.
 	AppOffset simtime.Duration
-	// Depth caps the frames in flight or queued; zero means 2, Figure 2's
-	// pipeline.
+	// Depth caps the frames in flight or queued on the VSync path; zero
+	// means 2, Figure 2's pipeline.
 	Depth int
+	// DVSync selects the D-VSync model.
+	DVSync bool
+	// PreRenderLimit caps the frames in flight or queued in D-VSync; zero
+	// means Buffers − 1.
+	PreRenderLimit int
 }
 
 // Result is one run's outcome: the fields of an event-simulator run that
@@ -97,17 +128,20 @@ type frame struct {
 	key    bool         // UI + RS cost over one period
 }
 
-// Model runs the recurrence for one Config. It is reusable: a warm Run
+// Model runs one recurrence for one Config. It is reusable: a warm Run
 // allocates nothing. A Model is not safe for concurrent use.
 type Model struct {
 	period  simtime.Duration
 	buffers int
 	offset  simtime.Duration
-	depth   int
+	dvsync  bool
+	// limit caps the frames in flight or queued: the VSync depth or the
+	// D-VSync pre-render limit.
+	limit int
 	// ahead is a ring of the started, unlatched frames in start order.
 	// Render stages run in start order, so the queued frames are a prefix
 	// of it and the in-flight ones the rest. It never holds more than
-	// min(depth, buffers) frames.
+	// min(limit, buffers) frames.
 	ahead []frame
 	res   Result
 }
@@ -123,24 +157,33 @@ func New(cfg Config) *Model {
 		panic(fmt.Sprintf("vsyncrec: negative VSync-app offset %v", cfg.AppOffset))
 	case cfg.Depth < 0:
 		panic(fmt.Sprintf("vsyncrec: negative pipeline depth %d", cfg.Depth))
+	case cfg.PreRenderLimit < 0:
+		panic(fmt.Sprintf("vsyncrec: negative pre-render limit %d", cfg.PreRenderLimit))
 	}
-	depth := cfg.Depth
-	if depth == 0 {
-		depth = 2
+	limit := cfg.Depth
+	if limit == 0 {
+		limit = 2
+	}
+	if cfg.DVSync {
+		limit = cfg.PreRenderLimit
+		if limit == 0 {
+			limit = cfg.Buffers - 1
+		}
 	}
 	return &Model{
 		period:  simtime.PeriodForHz(cfg.RefreshHz),
 		buffers: cfg.Buffers,
 		offset:  cfg.AppOffset,
-		depth:   depth,
-		ahead:   make([]frame, min(depth, cfg.Buffers)),
+		dvsync:  cfg.DVSync,
+		limit:   limit,
+		ahead:   make([]frame, min(limit, cfg.Buffers)),
 	}
 }
 
 // Run steps the recurrence over tr, edge by edge, and returns the result,
 // which stays valid until the next Run. The trace must be non-empty.
 //
-//dvlint:hotpath runs once per calibration probe
+//dvlint:hotpath runs once per calibration probe and FDPS replica
 func (m *Model) Run(tr *workload.Trace) *Result {
 	costs := tr.Costs
 	n := len(costs)
@@ -157,19 +200,22 @@ func (m *Model) Run(tr *workload.Trace) *Result {
 	next := 0           // the next trace index to start
 	tick := 0           // the next VSync-app tick
 	var uiBusy, rsBusy simtime.Time
+	latched := simtime.Time(0)            // the last latching edge
+	open := simtime.Time(0).Add(m.offset) // the first VSync-app tick
 	for k := 0; ; k++ {
 		edge := simtime.Time(0).Add(simtime.Duration(k) * p)
-		// Ticks before this edge; one at the edge's instant fires after it.
-		for {
-			at := simtime.Time(0).Add(simtime.Duration(tick)*p + m.offset)
-			if at >= edge || at > horizon {
-				break
-			}
-			if target := min(tick, n-1); target >= next && uiBusy <= at &&
-				ahead < m.depth && ahead+front < m.buffers {
-				c := costs[target]
-				res.Skipped += target - next
-				next = target + 1
+		// Frames start before this edge; one at the edge's instant starts
+		// after its latch.
+		if m.dvsync {
+			// The FPE's pumps: the next index starts at the first pump
+			// instant that finds every condition met.
+			for next < n && ahead < m.limit && ahead+front < m.buffers {
+				at := simtime.Max(simtime.Max(uiBusy, latched), open)
+				if at >= edge || at > horizon {
+					break
+				}
+				c := costs[next]
+				next++
 				uiBusy = at.Add(c.UI)
 				rsBusy = simtime.Max(uiBusy, rsBusy).Add(c.RS)
 				tail := head + ahead
@@ -179,7 +225,29 @@ func (m *Model) Run(tr *workload.Trace) *Result {
 				ring[tail] = frame{rsDone: rsBusy, key: c.UI+c.RS > p}
 				ahead++
 			}
-			tick++
+		} else {
+			// The VSync-app ticks, each starting its slot if it can.
+			for {
+				at := simtime.Time(0).Add(simtime.Duration(tick)*p + m.offset)
+				if at >= edge || at > horizon {
+					break
+				}
+				if target := min(tick, n-1); target >= next && uiBusy <= at &&
+					ahead < m.limit && ahead+front < m.buffers {
+					c := costs[target]
+					res.Skipped += target - next
+					next = target + 1
+					uiBusy = at.Add(c.UI)
+					rsBusy = simtime.Max(uiBusy, rsBusy).Add(c.RS)
+					tail := head + ahead
+					if tail >= size {
+						tail -= size
+					}
+					ring[tail] = frame{rsDone: rsBusy, key: c.UI+c.RS > p}
+					ahead++
+				}
+				tick++
+			}
 		}
 		if edge > horizon {
 			return res
@@ -195,6 +263,7 @@ func (m *Model) Run(tr *workload.Trace) *Result {
 				res.FirstLatch = edge
 			}
 			res.LastLatch = edge
+			latched = edge
 			res.Presented++
 		} else if front == 1 && (next < n || ahead > 0) {
 			// Nothing queued: the old frame repeats. Every frame in the

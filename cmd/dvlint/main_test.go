@@ -160,13 +160,3 @@ func TestSubtreeAndSinglePackagePatterns(t *testing.T) {
 		}
 	}
 }
-
-// TestDefaultInvocationIsClean is the tier-1 contract: plain `dvlint ./...`
-// finds nothing on this repository.
-func TestDefaultInvocationIsClean(t *testing.T) {
-	t.Parallel()
-	code, stdout, stderr := exec(t, "./...")
-	if code != 0 {
-		t.Fatalf("exit = %d; stdout: %s stderr: %s", code, stdout, stderr)
-	}
-}

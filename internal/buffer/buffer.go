@@ -347,18 +347,6 @@ func CompositionOf(f *Frame, period simtime.Duration) CompositionKind {
 	return DirectComposition
 }
 
-// CancelDequeue returns a dequeued buffer to the free list without queueing
-// it (used when a frame is abandoned, e.g. a runtime switch to VSync).
-func (q *Queue) CancelDequeue(b *Buffer) {
-	if b.State != Dequeued {
-		panic(fmt.Sprintf("buffer: cancel of %v buffer", b.State))
-	}
-	b.State = Free
-	b.Frame = nil
-	q.free = append(q.free, b)
-	q.stats.Dequeued--
-}
-
 // PeekQueued returns the i-th oldest queued buffer without removing it.
 func (q *Queue) PeekQueued(i int) *Buffer {
 	if i < 0 || i >= len(q.queued) {

@@ -132,18 +132,6 @@ func TestStuffingClassification(t *testing.T) {
 	}
 }
 
-func TestCancelDequeue(t *testing.T) {
-	q := newTestQueue(3)
-	b := q.Dequeue(&Frame{})
-	q.CancelDequeue(b)
-	if q.FreeCount() != 3 || b.State != Free {
-		t.Fatal("cancel did not free the buffer")
-	}
-	if q.Stats().Dequeued != 0 {
-		t.Errorf("dequeued stat = %d after cancel", q.Stats().Dequeued)
-	}
-}
-
 func TestMemoryModel(t *testing.T) {
 	q := NewQueue(Config{Buffers: 4, Width: 1080, Height: 2340})
 	if q.BufferBytes() != 1080*2340*4 {
@@ -309,7 +297,7 @@ func TestConservationUnderAllocFaultStream(t *testing.T) {
 		seq := 0
 		for _, op := range ops {
 			now = now.Add(simtime.FromMillis(1))
-			switch op % 4 {
+			switch op % 3 {
 			case 0: // dequeue
 				f := &Frame{Seq: seq}
 				if b := q.Dequeue(f); b != nil {
@@ -325,12 +313,6 @@ func TestConservationUnderAllocFaultStream(t *testing.T) {
 				}
 			case 2: // latch
 				q.Latch(now, simtime.FromMillis(16))
-			case 3: // cancel the newest dequeued buffer
-				if len(dequeued) > 0 {
-					b := dequeued[len(dequeued)-1]
-					dequeued = dequeued[:len(dequeued)-1]
-					q.CancelDequeue(b)
-				}
 			}
 			if err := q.CheckInvariants(); err != nil {
 				t.Logf("after op %d: %v", op, err)

@@ -65,7 +65,6 @@ type Panel struct {
 	rng        *dist.RNG
 	seq        uint64
 	running    bool
-	nextID     event.ID
 	nextAt     simtime.Time // true (jitter-free) time of next edge
 	lastEdge   simtime.Time
 	edges      uint64
@@ -142,18 +141,17 @@ func (p *Panel) schedule(nominal simtime.Time) {
 	if at < p.engine.Now() {
 		at = p.engine.Now()
 	}
-	p.nextID = p.engine.At(at, event.PriorityHardware, p.edgeFn)
+	p.engine.At(at, event.PriorityHardware, p.edgeFn)
 }
 
 // edge fires one hardware VSync edge and schedules the next. It is the
 // single persistent handler behind every schedule call — the panel only
-// ever has one pending edge, so no per-edge state needs capturing.
+// ever has one pending edge, so no per-edge state needs capturing. The
+// panel never stops itself: a run ends by stopping the engine, and the
+// edge still pending then is dropped by the engine's Reset.
 //
 //dvlint:hotpath runs once per hardware VSync edge
 func (p *Panel) edge(now simtime.Time) {
-	if !p.running {
-		return
-	}
 	p.lastEdge = now
 	p.edges++
 	seq := p.seq
@@ -186,20 +184,10 @@ func (p *Panel) Reset() {
 	p.rng.Reseed(p.cfg.JitterSeed ^ 0x5ee4)
 	p.seq = 0
 	p.running = false
-	p.nextID = 0
 	p.nextAt = 0
 	p.lastEdge = 0
 	p.edges = 0
 	p.missed = 0
-}
-
-// Stop cancels the pending edge.
-func (p *Panel) Stop() {
-	if !p.running {
-		return
-	}
-	p.running = false
-	p.engine.Cancel(p.nextID)
 }
 
 // Period returns the current refresh period.

@@ -43,6 +43,8 @@ func TestListenersFireInOrder(t *testing.T) {
 	}
 }
 
+// TestStopHaltsEdges: an edge listener ends the stream by stopping the
+// engine, as the simulator's consumer does after its last latch.
 func TestStopHaltsEdges(t *testing.T) {
 	e := event.NewEngine()
 	p := NewPanel(e, Config{RefreshHz: 60})
@@ -50,7 +52,7 @@ func TestStopHaltsEdges(t *testing.T) {
 	p.OnEdge(func(simtime.Time, uint64, simtime.Duration) {
 		count++
 		if count == 2 {
-			p.Stop()
+			e.Stop()
 		}
 	})
 	p.Start(0)
@@ -173,15 +175,35 @@ func TestNextEdgeAfterStopped(t *testing.T) {
 	}
 }
 
-func TestStopIdempotent(t *testing.T) {
+// TestResetDropsPendingEdge: a stopped run leaves the panel's next edge
+// on the agenda; the engine's Reset drops it and the panel's Reset stops
+// the panel, so a reused panel starts again from edge 0 without a stale
+// edge firing.
+func TestResetDropsPendingEdge(t *testing.T) {
 	e := event.NewEngine()
 	p := NewPanel(e, Config{RefreshHz: 60})
+	var seqs []uint64
+	p.OnEdge(func(_ simtime.Time, seq uint64, _ simtime.Duration) {
+		seqs = append(seqs, seq)
+		if seq == 1 {
+			e.Stop()
+		}
+	})
 	p.Start(0)
-	p.Stop()
-	p.Stop() // second stop is a no-op
 	e.RunAll()
-	if p.Edges() != 0 {
-		t.Errorf("edges fired after stop: %d", p.Edges())
+	if e.Pending() != 1 {
+		t.Fatalf("%d events pending after the stop, want the next edge", e.Pending())
+	}
+	e.Reset()
+	p.Reset()
+	e.RunAll()
+	if p.Edges() != 0 || len(seqs) != 2 {
+		t.Fatalf("edges fired after reset: %d, seqs %v", p.Edges(), seqs)
+	}
+	p.Start(0)
+	e.RunAll()
+	if len(seqs) != 4 || seqs[2] != 0 || seqs[3] != 1 {
+		t.Errorf("edge sequence %v, want [0 1 0 1]", seqs)
 	}
 }
 

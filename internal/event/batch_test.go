@@ -1,6 +1,7 @@
 package event
 
 import (
+	"strings"
 	"testing"
 
 	"dvsync/internal/simtime"
@@ -59,32 +60,6 @@ func TestBatchSameInstantFIFOAfterSpill(t *testing.T) {
 	}
 }
 
-// TestCancelDrainedBatchItem cancels an event at the same instant it
-// would fire, from a handler that runs earlier in the batch: the canceled
-// item must not fire, Cancel must report true, and the agenda's tombstone
-// accounting must survive a subsequent run.
-func TestCancelDrainedBatchItem(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	var id ID
-	e.At(10, PriorityHardware, func(simtime.Time) {
-		if !e.Cancel(id) {
-			t.Error("Cancel of a drained same-instant event returned false")
-		}
-		if e.Cancel(id) {
-			t.Error("second Cancel returned true")
-		}
-	})
-	id = e.At(10, PriorityControl, func(simtime.Time) { fired = true })
-	e.RunAll()
-	if fired {
-		t.Error("canceled batch item fired")
-	}
-	if got := e.Fired(); got != 1 {
-		t.Errorf("Fired() = %d, want 1", got)
-	}
-}
-
 // TestStopMidBatchLeavesRemainderPending stops the engine from inside a
 // batch: the undispatched tail must return to the agenda as pending work,
 // not be dropped, so a later Run (or RunAll drain) still sees it.
@@ -110,7 +85,8 @@ func TestStopMidBatchLeavesRemainderPending(t *testing.T) {
 }
 
 // runScript drives one fixed schedule — including same-instant fan-out
-// and a cancellation — and returns the dispatch log.
+// and a Stop that leaves an event pending, as a simulation's last edge
+// does — and returns the dispatch log.
 func runScript(e *Engine) []string {
 	var got []string
 	logf := func(s string) Handler {
@@ -122,23 +98,27 @@ func runScript(e *Engine) []string {
 		e.After(5, PriorityPipeline, logf("c"))
 	})
 	e.At(10, PriorityControl, logf("d"))
-	id := e.At(20, PriorityControl, logf("never"))
-	e.At(12, PriorityHardware, func(now simtime.Time) {
+	e.At(20, PriorityControl, logf("never"))
+	e.At(16, PriorityHardware, func(now simtime.Time) {
 		got = append(got, "e")
-		e.Cancel(id)
+		e.Stop()
 	})
 	e.RunAll()
 	return got
 }
 
 // TestResetReplaysIdentically checks the Runner contract at the engine
-// layer: Reset returns a used engine to its as-constructed condition, and
-// an identical schedule replays the identical dispatch sequence with
-// identical counters.
+// layer: Reset returns a used engine to its as-constructed condition,
+// dropping the event a Stop left pending, and an identical schedule
+// replays the identical dispatch sequence with identical counters.
 func TestResetReplaysIdentically(t *testing.T) {
 	e := NewEngine()
 	first := runScript(e)
 	firedFirst, now := e.Fired(), e.Now()
+	if want := "a b d c e"; strings.Join(first, " ") != want || e.Pending() != 1 {
+		t.Fatalf("first run fired %v with %d pending, want %s with 1 pending",
+			first, e.Pending(), want)
+	}
 
 	e.Reset()
 	if e.Now() != 0 || e.Pending() != 0 || e.Fired() != 0 {

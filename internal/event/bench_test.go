@@ -6,10 +6,10 @@ import (
 	"dvsync/internal/simtime"
 )
 
-// engineWorkload is the pinned scheduler workload: a panel ticker driving
-// a three-hop event chain per tick (the shape of one frame through the
-// pipeline), plus a schedule-then-cancel per tick to exercise tombstone
-// handling. It returns how many chains completed.
+// engineWorkload is the pinned scheduler workload: a self-rescheduling
+// tick, the panel's shape, driving a three-hop event chain per tick (the
+// shape of one frame through the pipeline). It returns how many chains
+// completed.
 func engineWorkload() int {
 	const (
 		period = 8 * simtime.Millisecond
@@ -21,15 +21,15 @@ func engineWorkload() int {
 	hop2 := func(now simtime.Time) {
 		e.After(simtime.Millisecond, PriorityPipeline, hop3)
 	}
-	tk := NewTicker(e, period, PriorityHardware, func(now simtime.Time) {
+	var tick Handler
+	tick = func(now simtime.Time) {
+		// The successor first, as the panel schedules its next edge before
+		// it fans the current one out.
+		e.At(now.Add(period), PriorityHardware, tick)
 		e.After(2*simtime.Millisecond, PriorityPipeline, hop2)
-		// Schedule-then-cancel models a controller arming a timeout that
-		// the frame's completion races and wins.
-		e.Cancel(e.After(6*simtime.Millisecond, PriorityControl, hop3))
-	})
-	tk.Start(0)
+	}
+	e.At(0, PriorityHardware, tick)
 	e.Run(simtime.Time(ticks) * simtime.Time(period))
-	tk.Stop()
 	return fired
 }
 

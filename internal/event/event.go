@@ -6,6 +6,12 @@
 // two events at the same instant and priority fire in the order they were
 // scheduled, so repeated runs with the same seed produce identical traces.
 //
+// Its whole discipline is schedule (At, After), dispatch (Run), stop (Stop)
+// and reset (Reset). Nothing is ever cancelled: a run ends by stopping the
+// engine, and the next run starts from Reset, which drops whatever was
+// still scheduled. Periodic sources (the panel's edges) are handlers that
+// schedule their own successor.
+//
 // Every engine operation runs inside the simulation loop, so the whole
 // package is held to the hot-path allocation discipline.
 //
@@ -41,16 +47,12 @@ const (
 // call.
 type Handler func(now simtime.Time)
 
-// ID identifies a scheduled event so it can be cancelled.
-type ID uint64
-
-// item is one scheduled event. Its sequence number doubles as its ID.
+// item is one scheduled event.
 type item struct {
-	at       simtime.Time
-	prio     Priority
-	seq      uint64
-	fn       Handler
-	canceled bool
+	at   simtime.Time
+	prio Priority
+	seq  uint64
+	fn   Handler
 }
 
 // agenda is a binary min-heap of items under the (at, prio, seq) order.
@@ -121,13 +123,6 @@ func (a agenda) down(i int) {
 	a[i] = it
 }
 
-// init establishes the heap invariant over arbitrary contents.
-func (a agenda) init() {
-	for i := len(a)/2 - 1; i >= 0; i-- {
-		a.down(i)
-	}
-}
-
 // DefaultInstantLimit is the no-progress watchdog bound: the maximum number
 // of events the engine dispatches at a single instant before concluding the
 // agenda is stuck in a zero-delay loop. Legitimate simulations dispatch at
@@ -143,20 +138,20 @@ type WatchdogError struct {
 	At simtime.Time
 	// Dispatched is how many events fired at that instant.
 	Dispatched int
-	// LastPriority, LastSeq and LastID identify the last-dispatched event.
-	// An event's ID is its sequence number, so LastID equals LastSeq.
+	// LastPriority and LastSeq identify the last-dispatched event.
 	LastPriority Priority
 	LastSeq      uint64
-	LastID       ID
 }
 
-// Error implements error.
+// Error implements error. The text enters Result.WatchdogTripped and the
+// digests over it, so it keeps an id= field, which repeats the sequence
+// number.
 func (e *WatchdogError) Error() string {
 	//dvlint:ignore hotalloc error formatting runs once, after the watchdog has already halted the run
 	return fmt.Sprintf(
 		"event: no-progress watchdog: %d events dispatched at t=%v without the clock advancing "+
 			"(last event: priority=%d seq=%d id=%d)",
-		e.Dispatched, e.At, int(e.LastPriority), e.LastSeq, uint64(e.LastID))
+		e.Dispatched, e.At, int(e.LastPriority), e.LastSeq, e.LastSeq)
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
@@ -167,25 +162,20 @@ type Engine struct {
 	events  agenda
 	stopped bool
 	fired   uint64
-	// live counts scheduled events that have neither fired nor been
-	// canceled: the heap minus its tombstones, plus the undispatched
-	// remainder of the current batch.
+	// live counts scheduled events that have not fired: the heap plus the
+	// undispatched remainder of the current batch.
 	live int
 
 	// free recycles dispatched agenda items: a simulation schedules one
 	// event per pipeline hop per frame, and without the free list every
-	// hop is a fresh allocation. Items enter after dispatch or canceled
-	// removal and are reused by At.
+	// hop is a fresh allocation. Items enter after dispatch (or Reset) and
+	// are reused by At.
 	free []*item
-	// ncanceled counts canceled items still sitting in the heap; when they
-	// dominate, Cancel compacts the agenda instead of waiting for the pops
-	// to wash them out (tickers under Reschedule churn generate many).
-	ncanceled int
 	// batch is the reused per-instant dispatch buffer: Run drains every
 	// event sharing the earliest timestamp into it with one burst of heap
 	// pops, then dispatches straight off the slice instead of interleaving
 	// a pop (and its free-list churn) with every handler call. It is empty
-	// whenever Run returns, so Pending never sees half-drained instants.
+	// whenever Run returns.
 	batch []*item
 
 	instantLimit int
@@ -229,7 +219,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // At schedules fn to run at the given instant with the given priority.
 // Scheduling in the past is a programming error and panics.
-func (e *Engine) At(at simtime.Time, prio Priority, fn Handler) ID {
+func (e *Engine) At(at simtime.Time, prio Priority, fn Handler) {
 	if at < e.now {
 		panic(fmt.Sprintf("event: scheduling at %v before now %v", at, e.now))
 	}
@@ -249,7 +239,6 @@ func (e *Engine) At(at simtime.Time, prio Priority, fn Handler) ID {
 	}
 	e.events.push(it)
 	e.live++
-	return ID(e.seq)
 }
 
 // recycle returns an item to the free list. The caller guarantees it has
@@ -258,85 +247,15 @@ func (e *Engine) At(at simtime.Time, prio Priority, fn Handler) ID {
 // the pool.
 func (e *Engine) recycle(it *item) {
 	it.fn = nil
-	it.canceled = false
 	e.free = append(e.free, it)
 }
 
 // After schedules fn to run d after the current time.
-func (e *Engine) After(d simtime.Duration, prio Priority, fn Handler) ID {
+func (e *Engine) After(d simtime.Duration, prio Priority, fn Handler) {
 	if d < 0 {
 		panic(fmt.Sprintf("event: negative delay %v", d))
 	}
-	return e.At(e.now.Add(d), prio, fn)
-}
-
-// Cancel removes a scheduled event. Cancelling an already-fired or unknown
-// ID is a no-op and returns false.
-func (e *Engine) Cancel(id ID) bool {
-	it, inHeap := e.find(id)
-	if it == nil {
-		return false
-	}
-	it.canceled = true
-	e.live--
-	if !inHeap {
-		// Drained for the current instant but not yet dispatched: the batch
-		// loop skips and recycles it. It is not a heap tombstone, so it does
-		// not count toward compaction.
-		return true
-	}
-	e.ncanceled++
-	// Lazy compaction: canceled items normally wash out as the heap pops
-	// them, but workloads that cancel far ahead of the clock (LTPO tickers
-	// under Reschedule) can let tombstones dominate the agenda. Rebuilding
-	// only removes items the comparator would have skipped anyway — the
-	// (at, prio, seq) order of live items is total, so dispatch order is
-	// unchanged.
-	if e.ncanceled > 64 && e.ncanceled*2 > len(e.events) {
-		e.compact()
-	}
-	return true
-}
-
-// find returns the live (scheduled, not canceled) item with the given id
-// and whether it sits in the heap rather than the dispatch batch; nil when
-// the id has fired, was canceled or was never issued. It scans instead of
-// indexing by ID: a simulation cancels about once per run (stopping the
-// panel), and its live agenda is a handful of entries — one panel edge, a
-// few stage completions per in-flight frame and any delayed signal
-// deliveries.
-func (e *Engine) find(id ID) (*item, bool) {
-	seq := uint64(id)
-	for _, it := range e.events {
-		if it.seq == seq && !it.canceled {
-			return it, true
-		}
-	}
-	for _, it := range e.batch {
-		if it != nil && it.seq == seq && !it.canceled {
-			return it, false
-		}
-	}
-	return nil, false
-}
-
-// compact removes canceled tombstones from the agenda and restores the
-// heap invariant over the survivors.
-func (e *Engine) compact() {
-	kept := e.events[:0]
-	for _, it := range e.events {
-		if it.canceled {
-			e.recycle(it)
-			continue
-		}
-		kept = append(kept, it)
-	}
-	for i := len(kept); i < len(e.events); i++ {
-		e.events[i] = nil
-	}
-	e.events = kept
-	e.events.init()
-	e.ncanceled = 0
+	e.At(e.now.Add(d), prio, fn)
 }
 
 // Stop makes the current Run call return once the in-flight event handler
@@ -348,39 +267,19 @@ func (e *Engine) Stopped() bool { return e.stopped }
 
 // runInstant drains every event scheduled at instant t into the reused
 // batch slice with one burst of heap pops, then dispatches from the slice.
-// Dispatch order is byte-identical to the old pop-per-event loop: before
-// each batch entry fires, the heap head is checked for a same-instant event
-// a previous handler scheduled that sorts earlier (a lower priority band;
-// a smaller sequence in the same band is impossible, new events get larger
+// Dispatch order is byte-identical to a pop-per-event loop: before each
+// batch entry fires, the heap head is checked for a same-instant event a
+// previous handler scheduled that sorts earlier (a lower priority band; a
+// smaller sequence in the same band is impossible, new events get larger
 // sequences, but the comparison is kept total); if one exists the remaining
 // batch spills back into the heap and the outer loop re-drains the instant.
 func (e *Engine) runInstant(t simtime.Time) {
 	for len(e.events) > 0 && e.events[0].at == t {
-		it := e.events.pop()
-		if it.canceled {
-			e.ncanceled--
-			e.recycle(it)
-			continue
-		}
-		e.batch = append(e.batch, it)
+		e.batch = append(e.batch, e.events.pop())
 	}
 	e.now = t
 	for i := 0; i < len(e.batch); i++ {
 		it := e.batch[i]
-		if it.canceled {
-			// Canceled by an earlier handler in this same batch; Cancel
-			// already took it off the live count.
-			e.batch[i] = nil
-			e.recycle(it)
-			continue
-		}
-		// Order guard: wash canceled heads out (as peekTime would), then
-		// spill if a handler scheduled a same-instant event that must fire
-		// before the rest of the batch.
-		for len(e.events) > 0 && e.events[0].canceled {
-			e.ncanceled--
-			e.recycle(e.events.pop())
-		}
 		if len(e.events) > 0 && before(e.events[0], it) {
 			e.spill(i)
 			return
@@ -408,7 +307,6 @@ func (e *Engine) runInstant(t simtime.Time) {
 				Dispatched:   e.instantFired,
 				LastPriority: prio,
 				LastSeq:      seq,
-				LastID:       ID(seq),
 			}
 			e.stopped = true
 		}
@@ -423,21 +321,13 @@ func (e *Engine) runInstant(t simtime.Time) {
 	e.batch = e.batch[:0]
 }
 
-// spill returns batch[i:] to the heap (canceled entries are recycled — they
-// are already off the live count) and empties the batch.
+// spill returns batch[i:] to the heap and empties the batch; the entries
+// before i have been dispatched and are already nil.
 func (e *Engine) spill(i int) {
-	for ; i < len(e.batch); i++ {
-		it := e.batch[i]
-		e.batch[i] = nil
-		if it == nil {
-			continue
-		}
-		if it.canceled {
-			e.recycle(it)
-			continue
-		}
+	for _, it := range e.batch[i:] {
 		e.events.push(it)
 	}
+	clear(e.batch[i:])
 	e.batch = e.batch[:0]
 }
 
@@ -451,11 +341,8 @@ func (e *Engine) Run(horizon simtime.Time) {
 		return
 	}
 	e.stopped = false
-	for !e.stopped {
-		next, ok := e.peekTime()
-		if !ok {
-			return
-		}
+	for !e.stopped && len(e.events) > 0 {
+		next := e.events[0].at
 		if next > horizon {
 			e.now = horizon
 			return
@@ -475,6 +362,7 @@ func (e *Engine) Reset() {
 		e.recycle(it)
 	}
 	e.events = e.events[:0]
+	// The batch is empty whenever Run returns, unless a handler panicked.
 	for i, it := range e.batch {
 		e.batch[i] = nil
 		if it != nil {
@@ -487,7 +375,6 @@ func (e *Engine) Reset() {
 	e.seq = 0
 	e.stopped = false
 	e.fired = 0
-	e.ncanceled = 0
 	e.instantAt = 0
 	e.instantFired = 0
 	e.wderr = nil
@@ -495,100 +382,3 @@ func (e *Engine) Reset() {
 
 // RunAll dispatches events until none remain or Stop is called.
 func (e *Engine) RunAll() { e.Run(simtime.Never) }
-
-func (e *Engine) peekTime() (simtime.Time, bool) {
-	for len(e.events) > 0 {
-		if e.events[0].canceled {
-			e.ncanceled--
-			e.recycle(e.events.pop())
-			continue
-		}
-		return e.events[0].at, true
-	}
-	return 0, false
-}
-
-// Ticker repeatedly schedules a handler at a fixed period. It is the
-// building block for VSync generation.
-type Ticker struct {
-	engine  *Engine
-	period  simtime.Duration
-	prio    Priority
-	fn      Handler
-	tick    Handler // the reusable per-tick handler; one allocation per ticker
-	pending ID
-	active  bool
-	ticks   uint64
-}
-
-// NewTicker creates a stopped ticker; call Start to begin ticking.
-func NewTicker(e *Engine, period simtime.Duration, prio Priority, fn Handler) *Ticker {
-	if period <= 0 {
-		panic("event: non-positive ticker period")
-	}
-	//dvlint:ignore hotalloc one-time ticker construction
-	t := &Ticker{engine: e, period: period, prio: prio, fn: fn}
-	//dvlint:ignore hotalloc the tick closure is built once per ticker and reused for every tick
-	t.tick = func(now simtime.Time) {
-		if !t.active {
-			return
-		}
-		t.ticks++
-		// Schedule the successor before running the handler so the handler
-		// may adjust the period (LTPO) and see a consistent "next" slot.
-		t.schedule(now.Add(t.period))
-		t.fn(now)
-	}
-	return t
-}
-
-// Start schedules the first tick at the given instant. Starting an active
-// ticker panics: callers must stop it first.
-func (t *Ticker) Start(first simtime.Time) {
-	if t.active {
-		panic("event: ticker already active")
-	}
-	t.active = true
-	t.schedule(first)
-}
-
-func (t *Ticker) schedule(at simtime.Time) {
-	t.pending = t.engine.At(at, t.prio, t.tick)
-}
-
-// Stop cancels any pending tick.
-func (t *Ticker) Stop() {
-	if !t.active {
-		return
-	}
-	t.active = false
-	t.engine.Cancel(t.pending)
-}
-
-// SetPeriod changes the tick period. The change takes effect for ticks
-// scheduled after the currently pending one, or immediately via Reschedule.
-func (t *Ticker) SetPeriod(p simtime.Duration) {
-	if p <= 0 {
-		panic("event: non-positive ticker period")
-	}
-	t.period = p
-}
-
-// Period returns the current tick period.
-func (t *Ticker) Period() simtime.Duration { return t.period }
-
-// Ticks returns the number of ticks fired since Start.
-func (t *Ticker) Ticks() uint64 { return t.ticks }
-
-// Active reports whether the ticker is running.
-func (t *Ticker) Active() bool { return t.active }
-
-// Reschedule cancels the pending tick and schedules the next one at the
-// given instant. Used when a display changes refresh rate mid-stream.
-func (t *Ticker) Reschedule(next simtime.Time) {
-	if !t.active {
-		panic("event: reschedule of stopped ticker")
-	}
-	t.engine.Cancel(t.pending)
-	t.schedule(next)
-}

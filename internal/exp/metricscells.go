@@ -1,19 +1,16 @@
 package exp
 
 import (
-	"dvsync/internal/display"
 	"dvsync/internal/sim"
-	"dvsync/internal/simtime"
 	"dvsync/internal/telemetry"
-	"dvsync/internal/workload"
 )
 
 // CellMetrics is one canonical telemetry cell of an experiment: the same
 // representative simulation TraceCells records, run with a live metrics
-// registry instead of (or alongside) a trace recorder. dvbench's
-// -metrics-dir flag exports each cell's Prometheus exposition and JSON
-// snapshot so a report's numbers can be compared against what a live
-// scrape of the same scenario would have shown.
+// registry instead of a trace recorder. dvbench's -metrics-dir flag
+// exports each cell's Prometheus exposition and JSON snapshot so a
+// report's numbers can be compared against what a live scrape of the same
+// scenario would have shown.
 type CellMetrics struct {
 	// Name is the export file stem, "<experiment>-<mode>".
 	Name string
@@ -23,34 +20,16 @@ type CellMetrics struct {
 	Registry *telemetry.Registry
 }
 
-// MetricsCells runs the canonical cells of one experiment — a VSync and a
-// D-VSync run over the identical exp.Seed workload — each with a fresh
-// telemetry registry sampled every panel period. Like TraceCells, the
-// result is a pure function of the experiment ID, so exported snapshots
-// are byte-identical across runs and -workers widths.
+// MetricsCells runs the canonical cells of one experiment, each with a
+// fresh telemetry registry sampled every panel period.
 func MetricsCells(id string) []CellMetrics {
-	hz := cellHz(id)
-	p := workload.DefaultProfile(id, simtime.PeriodForHz(hz).Milliseconds())
-	tr := p.Generate(cellFrames, Seed)
-	cells := []struct {
-		name    string
-		mode    sim.Mode
-		buffers int
-	}{
-		{id + "-vsync", sim.ModeVSync, 3},
-		{id + "-dvsync", sim.ModeDVSync, 4},
-	}
-	out := make([]CellMetrics, 0, len(cells))
-	for _, c := range cells {
+	cells := canonicalCells(id)
+	out := make([]CellMetrics, len(cells))
+	for i, c := range cells {
 		reg := telemetry.NewRegistry()
-		sim.Run(sim.Config{
-			Mode:    c.mode,
-			Panel:   display.Config{Name: id, RefreshHz: hz},
-			Buffers: c.buffers,
-			Trace:   tr,
-			Metrics: reg,
-		})
-		out = append(out, CellMetrics{Name: c.name, Mode: c.mode, Registry: reg})
+		c.cfg.Metrics = reg
+		sim.Run(c.cfg)
+		out[i] = CellMetrics{Name: c.name, Mode: c.cfg.Mode, Registry: reg}
 	}
 	return out
 }

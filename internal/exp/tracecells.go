@@ -39,33 +39,39 @@ func cellHz(id string) int {
 	}
 }
 
-// TraceCells records the canonical cells of one experiment — a VSync and a
-// D-VSync run over the identical exp.Seed workload. The recording is a
-// pure function of the experiment ID, so exports are byte-identical across
-// runs and -workers widths.
-func TraceCells(id string) []CellTrace {
+// cell is one canonical cell of an experiment before an observer is
+// attached: its export stem, "<experiment>-<mode>", and its config.
+type cell struct {
+	name string
+	cfg  sim.Config
+}
+
+// canonicalCells returns the canonical cells of one experiment — a VSync
+// and a D-VSync run over the identical exp.Seed workload at cellHz. Both
+// exports attach their observer to these configs, so the cells are a pure
+// function of the experiment ID and exports are byte-identical across runs
+// and -workers widths.
+func canonicalCells(id string) [2]cell {
 	hz := cellHz(id)
 	p := workload.DefaultProfile(id, simtime.PeriodForHz(hz).Milliseconds())
 	tr := p.Generate(cellFrames, Seed)
-	cells := []struct {
-		name    string
-		mode    sim.Mode
-		buffers int
-	}{
-		{id + "-vsync", sim.ModeVSync, 3},
-		{id + "-dvsync", sim.ModeDVSync, 4},
+	panel := display.Config{Name: id, RefreshHz: hz}
+	return [2]cell{
+		{id + "-vsync", sim.Config{Mode: sim.ModeVSync, Panel: panel, Buffers: 3, Trace: tr}},
+		{id + "-dvsync", sim.Config{Mode: sim.ModeDVSync, Panel: panel, Buffers: 4, Trace: tr}},
 	}
-	out := make([]CellTrace, 0, len(cells))
-	for _, c := range cells {
+}
+
+// TraceCells records the canonical cells of one experiment, each with a
+// trace recorder.
+func TraceCells(id string) []CellTrace {
+	cells := canonicalCells(id)
+	out := make([]CellTrace, len(cells))
+	for i, c := range cells {
 		rec := trace.NewRecorder()
-		sim.Run(sim.Config{
-			Mode:     c.mode,
-			Panel:    display.Config{Name: id, RefreshHz: hz},
-			Buffers:  c.buffers,
-			Trace:    tr,
-			Recorder: rec,
-		})
-		out = append(out, CellTrace{Name: c.name, Mode: c.mode, Recorder: rec})
+		c.cfg.Recorder = rec
+		sim.Run(c.cfg)
+		out[i] = CellTrace{Name: c.name, Mode: c.cfg.Mode, Recorder: rec}
 	}
 	return out
 }

@@ -206,7 +206,8 @@ func TestLoaderDiscoversModule(t *testing.T) {
 // TestRepoIsClean enforces the static-analysis contract on the repository
 // itself, the same gate cmd/dvlint applies in CI: the full ./... walk must
 // show no findings. Fix a finding, or suppress it in place with a
-// justified //dvlint:ignore.
+// justified //dvlint:ignore. It is the test suite's one whole-module lint;
+// cmd/dvlint's tests drive the CLI over subtrees.
 func TestRepoIsClean(t *testing.T) {
 	loader := newLoader(t)
 	paths, err := loader.Discover()

@@ -416,9 +416,7 @@ func New(cfg Config) *System {
 		panelCfg.EdgeMiss = s.inj.EdgeMiss
 	}
 	s.panel = display.NewPanel(s.engine, panelCfg)
-	s.dist = signal.NewDistributor(s.engine, map[signal.Kind]simtime.Duration{
-		signal.VSyncApp: cfg.AppOffset,
-	})
+	s.dist = signal.NewDistributor(s.engine, cfg.AppOffset)
 	s.queue = buffer.NewQueue(buffer.Config{
 		Buffers: cfg.Buffers,
 		Width:   cfg.Panel.Width,
@@ -426,9 +424,7 @@ func New(cfg Config) *System {
 	})
 	s.producer = pipeline.NewProducer(s.engine, s.queue, cfg.Trace)
 	if s.inj != nil {
-		s.dist.SetDelay(func(_ signal.Kind, at simtime.Time) simtime.Duration {
-			return s.inj.SignalDelay(at)
-		})
+		s.dist.SetDelay(s.inj.SignalDelay)
 		s.queue.SetAllocFault(func() bool { return s.inj.AllocFails(s.engine.Now()) })
 		s.producer.CostScale = s.inj.CostScale
 		s.panel.OnMissedEdge(s.onMissedEdge)
@@ -464,7 +460,7 @@ func New(cfg Config) *System {
 
 	s.panel.OnEdge(s.onEdge)
 	s.panel.OnEdge(s.dist.OnHWEdge)
-	s.dist.Subscribe(signal.VSyncApp, s.onAppTick)
+	s.dist.Subscribe(s.onAppTick)
 
 	s.producer.OnUIDone = func(now simtime.Time, f *buffer.Frame) {
 		s.lastAt = now
@@ -735,23 +731,35 @@ func (s *System) onMissedEdge(now simtime.Time, seq uint64, period simtime.Durat
 		t.missedEdges.Inc()
 		t.fdps.Set(t.window.Rate(now))
 	}
-	if s.queue.Front() != nil && !s.streamDone() {
-		key := false
-		if inflight := s.producer.OldestInflight(); inflight != nil {
-			key = inflight.UICost+inflight.RSCost > period
-		}
-		s.res.Janks = append(s.res.Janks, JankRecord{At: now, EdgeSeq: seq, KeyFrame: key})
-		if s.monitor != nil {
-			s.monitor.ObserveJank(now)
-		}
-		if t := s.tel; t != nil {
-			t.observeJank(now)
-		}
-		if s.cfg.Recorder != nil {
-			s.record(trace.Event{At: now, Kind: trace.Jank, Frame: -1, EdgeSeq: seq})
-		}
-	}
+	s.repeatEdge(now, seq, period)
 	s.supervise(now)
+}
+
+// repeatEdge accounts an edge at which the screen shows its previous frame
+// again, because nothing was ready to latch or the panel skipped the
+// refresh. It is a jank whenever an update was due: a frame is on screen
+// and the stream is not done. The jank is a key frame when the oldest
+// in-flight frame's UI + RS exceeds the period.
+//
+//dvlint:hotpath runs at every edge that latches nothing
+func (s *System) repeatEdge(now simtime.Time, seq uint64, period simtime.Duration) {
+	if s.queue.Front() == nil || s.streamDone() {
+		return
+	}
+	key := false
+	if inflight := s.producer.OldestInflight(); inflight != nil {
+		key = inflight.UICost+inflight.RSCost > period
+	}
+	s.res.Janks = append(s.res.Janks, JankRecord{At: now, EdgeSeq: seq, KeyFrame: key})
+	if s.monitor != nil {
+		s.monitor.ObserveJank(now)
+	}
+	if t := s.tel; t != nil {
+		t.observeJank(now)
+	}
+	if s.cfg.Recorder != nil {
+		s.record(trace.Event{At: now, Kind: trace.Jank, Frame: -1, EdgeSeq: seq})
+	}
 }
 
 // pendingRates adapts the queue and in-flight frames to ltpo.QueueView:
@@ -999,21 +1007,8 @@ func (s *System) onEdge(now simtime.Time, seq uint64, period simtime.Duration) {
 			// The latch freed the previous front buffer: a slot opened.
 			s.fpe.Pump(now)
 		}
-	} else if s.queue.Front() != nil && !s.streamDone() {
-		key := false
-		if inflight := s.producer.OldestInflight(); inflight != nil {
-			key = inflight.UICost+inflight.RSCost > period
-		}
-		s.res.Janks = append(s.res.Janks, JankRecord{At: now, EdgeSeq: seq, KeyFrame: key})
-		if s.monitor != nil {
-			s.monitor.ObserveJank(now)
-		}
-		if t := s.tel; t != nil {
-			t.observeJank(now)
-		}
-		if s.cfg.Recorder != nil {
-			s.record(trace.Event{At: now, Kind: trace.Jank, Frame: -1, EdgeSeq: seq})
-		}
+	} else {
+		s.repeatEdge(now, seq, period)
 	}
 	s.supervise(now)
 
@@ -1027,7 +1022,8 @@ func (s *System) onEdge(now simtime.Time, seq uint64, period simtime.Duration) {
 	}
 
 	if s.queue.Front() != nil && s.streamDone() && s.queue.QueuedCount() == 0 {
-		s.panel.Stop()
+		// The panel's next edge stays scheduled and never fires: the run
+		// ends here, and the next one starts from engine.Reset.
 		s.engine.Stop()
 	}
 }
@@ -1111,7 +1107,6 @@ func (s *System) reset(tr *workload.Trace) {
 		s.inj.Reset()
 	}
 	s.panel.Reset()
-	s.dist.Reset()
 	s.queue.Reset()
 	s.cfg.Trace = tr
 	s.producer.Reset(tr)

@@ -153,7 +153,7 @@ func TestJSONEmitsArray(t *testing.T) {
 // forms over packages known to be clean.
 func TestSubtreeAndSinglePackagePatterns(t *testing.T) {
 	t.Parallel()
-	for _, pat := range []string{"./internal/lint", "./cmd/..."} {
+	for _, pat := range []string{"./internal/lint", "./cmd/dvlint/..."} {
 		code, stdout, stderr := exec(t, pat)
 		if code != 0 {
 			t.Fatalf("%s: exit = %d; stdout: %s stderr: %s", pat, code, stdout, stderr)

@@ -30,7 +30,6 @@ import (
 	"strings"
 
 	"dvsync"
-	"dvsync/internal/checkpoint"
 	"dvsync/internal/flight"
 	"dvsync/internal/obs"
 	"dvsync/internal/trace"
@@ -268,7 +267,7 @@ func doWhy(path string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "  %s\n", d.Trigger.Detail)
 		}
 		events = d.Events
-	case errors.Is(derr, checkpoint.ErrNotCheckpoint):
+	case errors.Is(derr, flight.ErrNotEnvelope):
 		// Not an envelope at all: treat it as a JSONL trace.
 		rec, rerr := trace.ReadJSONL(bytes.NewReader(data))
 		if rerr != nil {

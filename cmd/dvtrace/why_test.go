@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"dvsync"
+	"dvsync/internal/trace"
 	"dvsync/internal/workload"
 )
 
@@ -116,6 +120,50 @@ func TestWhyOnTrace(t *testing.T) {
 	for _, want := range []string{"attributed instants", "jank", "fault-episode(class=stall"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("-why output lacks %q:\n%s", want, stdout)
+		}
+	}
+}
+
+// TestWhyRejectsDamagedEnvelopes: a file that is a dump envelope but not
+// a readable dump — one flipped payload byte, another format version, a
+// foreign payload kind — exits 1 with the envelope's diagnostic and is
+// never read as JSONL instead.
+func TestWhyRejectsDamagedEnvelopes(t *testing.T) {
+	var sealed bytes.Buffer
+	if err := dvsync.EncodeAnomalyDump(&sealed, "cfg", &dvsync.AnomalyDump{
+		SchemaVersion: trace.SchemaVersion,
+		Events:        []dvsync.TraceEvent{{At: 5, Kind: trace.Jank, Frame: 1}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	replace := func(old, new string) string {
+		if !bytes.Contains(sealed.Bytes(), []byte(old)) {
+			t.Fatalf("sealed dump lacks %q", old)
+		}
+		return strings.Replace(sealed.String(), old, new, 1)
+	}
+	// A digest-valid envelope around a payload that is not a dump, sealed
+	// by the envelope's digest formula (DESIGN.md §12).
+	meta, state := `{"kind":"other"}`, `{}`
+	h := sha256.New()
+	fmt.Fprintf(h, "dvsync-checkpoint\n1\ncfg\n0\n%d\n%d\n%s%s", len(meta), len(state), meta, state)
+	foreign := fmt.Sprintf(`{"magic":"dvsync-checkpoint","version":1,"config_digest":"cfg",`+
+		`"at_ns":0,"meta":%s,"state":%s,"state_digest":"%x"}`, meta, state, h.Sum(nil))
+
+	dir := t.TempDir()
+	for _, tc := range []struct{ name, data, want string }{
+		{"flipped-payload-byte", replace(`"frame":1`, `"frame":3`), "state digest mismatch"},
+		{"wrong-version", replace(`"version":1`, `"version":2`), "format version 2"},
+		{"foreign-kind", foreign, "not an anomaly dump"},
+	} {
+		path := filepath.Join(dir, tc.name+".dump")
+		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := runCLI("-why", path)
+		if code != 1 || !strings.Contains(stderr, tc.want) || stdout != "" {
+			t.Errorf("%s: exit %d stdout %q stderr %q, want exit 1, no output and a diagnostic naming %q",
+				tc.name, code, stdout, stderr, tc.want)
 		}
 	}
 }

@@ -177,7 +177,7 @@ var (
 	// dump's index and its trigger kind.
 	DumpID = flight.DumpID
 	// EncodeAnomalyDump / DecodeAnomalyDump seal and verify dumps under a
-	// config digest using the checkpoint envelope.
+	// config digest in the flight recorder's digest-pinned envelope.
 	EncodeAnomalyDump = flight.EncodeDump
 	DecodeAnomalyDump = flight.DecodeDump
 	// ConfigDigest fingerprints a configuration for anomaly-dump pinning

@@ -46,29 +46,6 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// CompositionKind classifies how a displayed frame reached the screen, for
-// the Figure 6 breakdown.
-type CompositionKind int
-
-// Composition kinds (Figure 6).
-const (
-	// DirectComposition means the buffer was latched at the first VSync
-	// edge after it was queued — no queue waiting.
-	DirectComposition CompositionKind = iota
-	// BufferStuffing means the buffer waited one or more extra VSync
-	// periods inside the queue behind earlier buffers (the latency tax the
-	// paper attributes to VSync triple buffering after janks, §3.3).
-	BufferStuffing
-)
-
-// String returns the breakdown label used in Figure 6.
-func (k CompositionKind) String() string {
-	if k == DirectComposition {
-		return "direct composition"
-	}
-	return "buffer stuffing"
-}
-
 // Frame carries the metadata of one rendered frame through the pipeline.
 // All timestamps are on the simulation clock; zero means "not yet".
 type Frame struct {
@@ -337,14 +314,6 @@ func (q *Queue) LatchNewest(now simtime.Time, period simtime.Duration) (*Buffer,
 		dropped++
 	}
 	return q.Latch(now, period), dropped
-}
-
-// CompositionOf classifies a latched frame after the fact.
-func CompositionOf(f *Frame, period simtime.Duration) CompositionKind {
-	if f.QueueWait() >= period {
-		return BufferStuffing
-	}
-	return DirectComposition
 }
 
 // PeekQueued returns the i-th oldest queued buffer without removing it.

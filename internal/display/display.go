@@ -67,7 +67,6 @@ type Panel struct {
 	running    bool
 	nextAt     simtime.Time // true (jitter-free) time of next edge
 	lastEdge   simtime.Time
-	edges      uint64
 	missed     uint64
 
 	// edgeFn is the one edge handler, bound at construction; schedule
@@ -153,7 +152,6 @@ func (p *Panel) schedule(nominal simtime.Time) {
 //dvlint:hotpath runs once per hardware VSync edge
 func (p *Panel) edge(now simtime.Time) {
 	p.lastEdge = now
-	p.edges++
 	seq := p.seq
 	p.seq++
 	p.nextAt = p.nextAt.Add(p.truePeriod)
@@ -186,31 +184,11 @@ func (p *Panel) Reset() {
 	p.running = false
 	p.nextAt = 0
 	p.lastEdge = 0
-	p.edges = 0
 	p.missed = 0
 }
 
-// Period returns the current refresh period.
-func (p *Panel) Period() simtime.Duration { return p.period }
-
 // RefreshHz returns the current refresh rate.
 func (p *Panel) RefreshHz() int { return simtime.HzForPeriod(p.period) }
-
-// Edges returns how many edges have fired.
-func (p *Panel) Edges() uint64 { return p.edges }
-
-// NextEdgeAfter returns the nominal time of the first edge strictly after t.
-// It is the query the DTV uses to model the display ("the VSync period or
-// offsets are always available to query", §4.4).
-func (p *Panel) NextEdgeAfter(t simtime.Time) simtime.Time {
-	if !p.running {
-		return simtime.Never
-	}
-	if t < p.nextAt {
-		return p.nextAt
-	}
-	return simtime.AlignUp(t+1, p.period, p.nextAt)
-}
 
 // SetRefreshHz switches the panel refresh rate at the next edge (LTPO).
 // The pending edge keeps its old timing; edges after it use the new period.

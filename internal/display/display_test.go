@@ -56,7 +56,7 @@ func TestStopHaltsEdges(t *testing.T) {
 		}
 	})
 	p.Start(0)
-	e.RunAll()
+	e.Run(simtime.Never)
 	if count != 2 {
 		t.Errorf("edges after stop: %d", count)
 	}
@@ -93,17 +93,19 @@ func TestPeriodSkew(t *testing.T) {
 	p := NewPanel(e, Config{RefreshHz: 60, PeriodSkewPPM: 10000}) // 1 % slow
 	var last simtime.Time
 	var n int
-	p.OnEdge(func(now simtime.Time, _ uint64, _ simtime.Duration) { last, n = now, n+1 })
+	p.OnEdge(func(now simtime.Time, _ uint64, period simtime.Duration) {
+		last, n = now, n+1
+		// Software still sees the nominal period.
+		if period != simtime.PeriodForHz(60) {
+			t.Errorf("nominal period changed: %v", period)
+		}
+	})
 	p.Start(0)
 	e.Run(simtime.Time(simtime.Second))
 	meanPeriod := float64(last) / float64(n-1)
 	want := float64(simtime.PeriodForHz(60)) * 1.01
 	if meanPeriod < want*0.999 || meanPeriod > want*1.001 {
 		t.Errorf("mean period %v, want ≈%v", meanPeriod, want)
-	}
-	// Software still sees the nominal period.
-	if p.Period() != simtime.PeriodForHz(60) {
-		t.Errorf("nominal period changed: %v", p.Period())
 	}
 }
 
@@ -135,26 +137,6 @@ func TestSetRefreshHz(t *testing.T) {
 	}
 }
 
-func TestNextEdgeAfter(t *testing.T) {
-	e := event.NewEngine()
-	p := NewPanel(e, Config{RefreshHz: 60})
-	period := simtime.PeriodForHz(60)
-	p.OnEdge(func(now simtime.Time, seq uint64, _ simtime.Duration) {
-		if seq == 2 {
-			next := p.NextEdgeAfter(now)
-			if next != now.Add(period) {
-				t.Errorf("NextEdgeAfter(edge) = %v, want %v", next, now.Add(period))
-			}
-			mid := p.NextEdgeAfter(now.Add(period / 2))
-			if mid != now.Add(period) {
-				t.Errorf("NextEdgeAfter(mid) = %v, want %v", mid, now.Add(period))
-			}
-		}
-	})
-	p.Start(0)
-	e.Run(simtime.Time(simtime.FromMillis(60)))
-}
-
 func TestPixelsPerSecond(t *testing.T) {
 	e := event.NewEngine()
 	p := NewPanel(e, Config{Name: "Mate 60 Pro", RefreshHz: 120, Width: 1260, Height: 2720})
@@ -164,14 +146,6 @@ func TestPixelsPerSecond(t *testing.T) {
 	}
 	if p.Name() != "Mate 60 Pro" {
 		t.Errorf("Name = %q", p.Name())
-	}
-}
-
-func TestNextEdgeAfterStopped(t *testing.T) {
-	e := event.NewEngine()
-	p := NewPanel(e, Config{RefreshHz: 60})
-	if got := p.NextEdgeAfter(0); got != simtime.Never {
-		t.Errorf("stopped panel NextEdgeAfter = %v, want Never", got)
 	}
 }
 
@@ -190,18 +164,18 @@ func TestResetDropsPendingEdge(t *testing.T) {
 		}
 	})
 	p.Start(0)
-	e.RunAll()
-	if e.Pending() != 1 {
-		t.Fatalf("%d events pending after the stop, want the next edge", e.Pending())
+	e.Run(simtime.Never)
+	if e.Fired() != 2 {
+		t.Fatalf("%d edges fired before the stop, want 2", e.Fired())
 	}
 	e.Reset()
 	p.Reset()
-	e.RunAll()
-	if p.Edges() != 0 || len(seqs) != 2 {
-		t.Fatalf("edges fired after reset: %d, seqs %v", p.Edges(), seqs)
+	e.Run(simtime.Never)
+	if e.Fired() != 0 || len(seqs) != 2 {
+		t.Fatalf("%d events fired after reset, seqs %v", e.Fired(), seqs)
 	}
 	p.Start(0)
-	e.RunAll()
+	e.Run(simtime.Never)
 	if len(seqs) != 4 || seqs[2] != 0 || seqs[3] != 1 {
 		t.Errorf("edge sequence %v, want [0 1 0 1]", seqs)
 	}
@@ -240,8 +214,8 @@ func TestZeroJitterPanelSeedsNoSource(t *testing.T) {
 	p := NewPanel(e, cfg)
 	p.Start(0)
 	e.Run(simtime.Time(simtime.FromMillis(100)))
-	if p.Edges() == 0 || p.rng.Draws() != 0 {
+	if e.Fired() == 0 || p.rng.Draws() != 0 {
 		t.Errorf("zero-jitter panel fired %d edges and drew %d values, want edges and no draw",
-			p.Edges(), p.rng.Draws())
+			e.Fired(), p.rng.Draws())
 	}
 }

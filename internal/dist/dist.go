@@ -164,50 +164,14 @@ func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
-// Sampler produces positive values (frame costs, gap times, …).
-type Sampler interface {
-	// Sample draws one value using the supplied RNG.
-	Sample(g *RNG) float64
-}
-
-// Constant always returns V.
-type Constant struct{ V float64 }
-
-// Sample implements Sampler.
-func (c Constant) Sample(*RNG) float64 { return c.V }
-
-// Uniform draws uniformly from [Lo, Hi).
-type Uniform struct{ Lo, Hi float64 }
-
-// Sample implements Sampler.
-func (u Uniform) Sample(g *RNG) float64 { return u.Lo + (u.Hi-u.Lo)*g.Float64() }
-
-// Normal draws from N(Mu, Sigma²) truncated at Min.
-type Normal struct {
-	Mu, Sigma float64
-	Min       float64
-}
-
-// Sample implements Sampler.
-func (n Normal) Sample(g *RNG) float64 {
-	v := n.Mu + n.Sigma*g.NormFloat64()
-	if v < n.Min {
-		v = n.Min
-	}
-	return v
-}
-
 // Lognormal draws from exp(N(Mu, Sigma²)). Mu and Sigma are parameters of
 // the underlying normal (i.e. of log X).
 type Lognormal struct{ Mu, Sigma float64 }
 
-// Sample implements Sampler.
+// Sample draws one value.
 func (l Lognormal) Sample(g *RNG) float64 {
 	return math.Exp(l.Mu + l.Sigma*g.NormFloat64())
 }
-
-// Mean returns the analytic mean of the lognormal.
-func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
 
 // LognormalFromMoments builds a Lognormal whose mean and standard deviation
 // match the given values.
@@ -232,7 +196,7 @@ type Pareto struct {
 	Alpha float64
 }
 
-// Sample implements Sampler.
+// Sample draws one value.
 func (p Pareto) Sample(g *RNG) float64 {
 	u := g.Float64()
 	if u == 0 {
@@ -240,74 +204,3 @@ func (p Pareto) Sample(g *RNG) float64 {
 	}
 	return p.Xm / math.Pow(u, 1/p.Alpha)
 }
-
-// Mixture draws from one of several component samplers with the given
-// weights.
-type Mixture struct {
-	Weights    []float64
-	Components []Sampler
-	cum        []float64
-}
-
-// NewMixture validates and normalises the weights.
-func NewMixture(weights []float64, components []Sampler) *Mixture {
-	if len(weights) != len(components) || len(weights) == 0 {
-		panic("dist: mixture weights/components mismatch")
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("dist: negative mixture weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("dist: zero total mixture weight")
-	}
-	cum := make([]float64, len(weights))
-	acc := 0.0
-	for i, w := range weights {
-		acc += w / total
-		cum[i] = acc
-	}
-	cum[len(cum)-1] = 1
-	return &Mixture{Weights: weights, Components: components, cum: cum}
-}
-
-// Sample implements Sampler.
-func (m *Mixture) Sample(g *RNG) float64 {
-	u := g.Float64()
-	for i, c := range m.cum {
-		if u < c {
-			return m.Components[i].Sample(g)
-		}
-	}
-	return m.Components[len(m.Components)-1].Sample(g)
-}
-
-// Clamped limits another sampler's output to [Lo, Hi].
-type Clamped struct {
-	S      Sampler
-	Lo, Hi float64
-}
-
-// Sample implements Sampler.
-func (c Clamped) Sample(g *RNG) float64 {
-	v := c.S.Sample(g)
-	if v < c.Lo {
-		return c.Lo
-	}
-	if v > c.Hi {
-		return c.Hi
-	}
-	return v
-}
-
-// Scaled multiplies another sampler's output by Factor.
-type Scaled struct {
-	S      Sampler
-	Factor float64
-}
-
-// Sample implements Sampler.
-func (s Scaled) Sample(g *RNG) float64 { return s.Factor * s.S.Sample(g) }

@@ -11,11 +11,9 @@ import (
 // implements it, and so does refAgenda, the test's reference model.
 type agendaAPI interface {
 	At(at simtime.Time, prio Priority, fn Handler)
-	After(d simtime.Duration, prio Priority, fn Handler)
 	Run(horizon simtime.Time)
 	Stop()
 	Reset()
-	Pending() int
 	Fired() uint64
 	Now() simtime.Time
 }
@@ -61,10 +59,6 @@ func (r *refAgenda) At(at simtime.Time, prio Priority, fn Handler) {
 	r.pending[i] = ev
 }
 
-func (r *refAgenda) After(d simtime.Duration, prio Priority, fn Handler) {
-	r.At(r.now.Add(d), prio, fn)
-}
-
 func (r *refAgenda) Run(horizon simtime.Time) {
 	r.stopped = false
 	for !r.stopped && len(r.pending) > 0 {
@@ -83,7 +77,6 @@ func (r *refAgenda) Run(horizon simtime.Time) {
 func (r *refAgenda) Stop()  { r.stopped = true }
 func (r *refAgenda) Reset() { *r = refAgenda{pending: r.pending[:0]} }
 
-func (r *refAgenda) Pending() int      { return len(r.pending) }
 func (r *refAgenda) Fired() uint64     { return r.fired }
 func (r *refAgenda) Now() simtime.Time { return r.now }
 
@@ -92,7 +85,6 @@ func (r *refAgenda) Now() simtime.Time { return r.now }
 // model consume identical bytes for as long as they dispatch identically.
 const (
 	opAt     = iota // prio, offset: At(now+offset)
-	opAfter         // prio, offset: After(offset)
 	opRun           // horizon offset: Run(now+h)
 	opRunAll        //
 	opReset         //
@@ -103,9 +95,8 @@ const (
 // Handler actions: a firing handler reads a count (0..3), then that many
 // actions.
 const (
-	actAt    = iota // prio, offset: same instant when offset is 0
-	actStop         //
-	actAfter        // prio, offset
+	actAt   = iota // prio, offset: same instant when offset is 0
+	actStop        //
 	numActs
 )
 
@@ -134,7 +125,7 @@ type observation struct {
 	kind string // sched, fire, stop or state
 	ev   scheduled
 	now  simtime.Time
-	p, f uint64 // state: pending and fired
+	f    uint64 // state: fired
 }
 
 func (d *agendaDriver) next() byte {
@@ -148,7 +139,7 @@ func (d *agendaDriver) next() byte {
 
 func (d *agendaDriver) observe(o observation) { d.log = append(d.log, o) }
 
-func (d *agendaDriver) schedule(after bool) {
+func (d *agendaDriver) schedule() {
 	prio := Priority(d.next() % uint8(PriorityControl+1))
 	off := simtime.Duration(d.next() % 8)
 	ev := scheduled{at: d.ag.Now().Add(off), prio: prio, n: d.n}
@@ -158,26 +149,20 @@ func (d *agendaDriver) schedule(after bool) {
 		for n := d.next() % 4; n > 0; n-- {
 			switch d.next() % numActs {
 			case actAt:
-				d.schedule(false)
-			case actAfter:
-				d.schedule(true)
+				d.schedule()
 			case actStop:
 				d.ag.Stop()
 				d.observe(observation{kind: "stop"})
 			}
 		}
 	}
-	if after {
-		d.ag.After(off, prio, h)
-	} else {
-		d.ag.At(ev.at, prio, h)
-	}
+	d.ag.At(ev.at, prio, h)
 	d.observe(observation{kind: "sched", ev: ev})
 }
 
 // state logs the counters.
 func (d *agendaDriver) state() {
-	d.observe(observation{kind: "state", now: d.ag.Now(), p: uint64(d.ag.Pending()), f: d.ag.Fired()})
+	d.observe(observation{kind: "state", now: d.ag.Now(), f: d.ag.Fired()})
 }
 
 // run executes the whole script, then drains the agenda. Every top-level
@@ -186,9 +171,7 @@ func (d *agendaDriver) run() []observation {
 	for d.pos < len(d.data) {
 		switch d.next() % numOps {
 		case opAt:
-			d.schedule(false)
-		case opAfter:
-			d.schedule(true)
+			d.schedule()
 		case opRun:
 			d.ag.Run(d.ag.Now().Add(simtime.Duration(d.next() % 16)))
 		case opRunAll:
@@ -209,12 +192,11 @@ func (d *agendaDriver) run() []observation {
 // script assembles fuzz seeds readably.
 type script []byte
 
-func (s script) at(prio Priority, off byte) script    { return append(s, opAt, byte(prio), off) }
-func (s script) after(prio Priority, off byte) script { return append(s, opAfter, byte(prio), off) }
-func (s script) run(h byte) script                    { return append(s, opRun, h) }
-func (s script) runAll() script                       { return append(s, opRunAll) }
-func (s script) reset() script                        { return append(s, opReset) }
-func (s script) stop() script                         { return append(s, opStop) }
+func (s script) at(prio Priority, off byte) script { return append(s, opAt, byte(prio), off) }
+func (s script) run(h byte) script                 { return append(s, opRun, h) }
+func (s script) runAll() script                    { return append(s, opRunAll) }
+func (s script) reset() script                     { return append(s, opReset) }
+func (s script) stop() script                      { return append(s, opStop) }
 
 // fires appends the bytes one firing handler reads: its action count and
 // the actions' own bytes (built with the act* helpers).
@@ -230,14 +212,14 @@ func actSched(prio Priority, off byte) []byte { return []byte{actAt, byte(prio),
 func actHalt() []byte                         { return []byte{actStop} }
 
 // FuzzAgendaMatchesReference drives the engine and refAgenda through the
-// same script of At/After, Run, Stop (inside handlers too) and Reset
-// calls, and requires identical logs: dispatch order, and Pending, Fired
-// and Now at every quiescent point.
+// same script of At, Run, Stop (inside handlers too) and Reset calls, and
+// requires identical logs: dispatch order, and Fired and Now at every
+// quiescent point.
 func FuzzAgendaMatchesReference(f *testing.F) {
 	// Same-instant ties across and within priority bands.
 	f.Add([]byte(script{}.
 		at(PriorityControl, 3).at(PriorityHardware, 3).at(PrioritySignal, 3).
-		after(PriorityPipeline, 3).at(PriorityPipeline, 3).at(PriorityInput, 1).
+		at(PriorityPipeline, 3).at(PriorityPipeline, 3).at(PriorityInput, 1).
 		runAll()))
 	// Batch spill: the first handler of an instant schedules two events
 	// in bands ahead of the rest of the batch, which spills back into the

@@ -22,7 +22,7 @@ func TestBatchOrderGuardSameInstantLowerPriority(t *testing.T) {
 		e.At(10, PriorityInput, func(simtime.Time) { got = append(got, "input") })
 	})
 	e.At(10, PriorityControl, func(simtime.Time) { got = append(got, "control") })
-	e.RunAll()
+	e.Run(simtime.Never)
 	want := []string{"pipeline", "input", "control"}
 	if len(got) != len(want) {
 		t.Fatalf("fired %v, want %v", got, want)
@@ -48,7 +48,7 @@ func TestBatchSameInstantFIFOAfterSpill(t *testing.T) {
 	})
 	e.At(5, PriorityPipeline, func(simtime.Time) { got = append(got, 2) })
 	e.At(5, PriorityPipeline, func(simtime.Time) { got = append(got, 3) })
-	e.RunAll()
+	e.Run(simtime.Never)
 	want := []int{0, 1, 2, 3}
 	if len(got) != len(want) {
 		t.Fatalf("fired %v, want %v", got, want)
@@ -62,7 +62,7 @@ func TestBatchSameInstantFIFOAfterSpill(t *testing.T) {
 
 // TestStopMidBatchLeavesRemainderPending stops the engine from inside a
 // batch: the undispatched tail must return to the agenda as pending work,
-// not be dropped, so a later Run (or RunAll drain) still sees it.
+// not be dropped, so a later Run still dispatches it.
 func TestStopMidBatchLeavesRemainderPending(t *testing.T) {
 	e := NewEngine()
 	var got []int
@@ -75,10 +75,10 @@ func TestStopMidBatchLeavesRemainderPending(t *testing.T) {
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("fired %v before stop, want [0]", got)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d after mid-batch stop, want 1", e.Pending())
+	if e.Fired() != 1 {
+		t.Fatalf("Fired() = %d after mid-batch stop, want 1", e.Fired())
 	}
-	e.RunAll()
+	e.Run(simtime.Never)
 	if len(got) != 2 || got[1] != 1 {
 		t.Fatalf("fired %v after drain, want [0 1]", got)
 	}
@@ -95,7 +95,7 @@ func runScript(e *Engine) []string {
 	e.At(10, PriorityPipeline, func(now simtime.Time) {
 		got = append(got, "a")
 		e.At(10, PriorityInput, logf("b"))
-		e.After(5, PriorityPipeline, logf("c"))
+		e.At(now.Add(5), PriorityPipeline, logf("c"))
 	})
 	e.At(10, PriorityControl, logf("d"))
 	e.At(20, PriorityControl, logf("never"))
@@ -103,7 +103,7 @@ func runScript(e *Engine) []string {
 		got = append(got, "e")
 		e.Stop()
 	})
-	e.RunAll()
+	e.Run(simtime.Never)
 	return got
 }
 
@@ -115,15 +115,17 @@ func TestResetReplaysIdentically(t *testing.T) {
 	e := NewEngine()
 	first := runScript(e)
 	firedFirst, now := e.Fired(), e.Now()
-	if want := "a b d c e"; strings.Join(first, " ") != want || e.Pending() != 1 {
-		t.Fatalf("first run fired %v with %d pending, want %s with 1 pending",
-			first, e.Pending(), want)
+	if want := "a b d c e"; strings.Join(first, " ") != want {
+		t.Fatalf("first run fired %v, want %s", first, want)
 	}
 
 	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.Fired() != 0 {
-		t.Fatalf("after Reset: now=%v pending=%d fired=%d, want all zero",
-			e.Now(), e.Pending(), e.Fired())
+	if e.Now() != 0 || e.Fired() != 0 {
+		t.Fatalf("after Reset: now=%v fired=%d, want both zero", e.Now(), e.Fired())
+	}
+	// The event the Stop left pending is gone: nothing is left to fire.
+	if e.Run(simtime.Never); e.Fired() != 0 {
+		t.Fatalf("Reset kept %d pending events", e.Fired())
 	}
 
 	second := runScript(e)
@@ -150,7 +152,7 @@ func TestResetClearsWatchdogPoison(t *testing.T) {
 	var spin Handler
 	spin = func(now simtime.Time) { e.At(now, PriorityControl, spin) }
 	e.At(0, PriorityControl, spin)
-	e.RunAll()
+	e.Run(simtime.Never)
 	if e.Err() == nil {
 		t.Fatal("watchdog did not trip")
 	}
@@ -160,7 +162,7 @@ func TestResetClearsWatchdogPoison(t *testing.T) {
 	}
 	fired := false
 	e.At(1, PriorityControl, func(simtime.Time) { fired = true })
-	e.RunAll()
+	e.Run(simtime.Never)
 	if !fired {
 		t.Error("engine did not run after Reset cleared the watchdog")
 	}

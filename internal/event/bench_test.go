@@ -19,14 +19,14 @@ func engineWorkload() int {
 	fired := 0
 	hop3 := func(now simtime.Time) { fired++ }
 	hop2 := func(now simtime.Time) {
-		e.After(simtime.Millisecond, PriorityPipeline, hop3)
+		e.At(now.Add(simtime.Millisecond), PriorityPipeline, hop3)
 	}
 	var tick Handler
 	tick = func(now simtime.Time) {
 		// The successor first, as the panel schedules its next edge before
 		// it fans the current one out.
 		e.At(now.Add(period), PriorityHardware, tick)
-		e.After(2*simtime.Millisecond, PriorityPipeline, hop2)
+		e.At(now.Add(2*simtime.Millisecond), PriorityPipeline, hop2)
 	}
 	e.At(0, PriorityHardware, tick)
 	e.Run(simtime.Time(ticks) * simtime.Time(period))

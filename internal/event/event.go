@@ -6,8 +6,8 @@
 // two events at the same instant and priority fire in the order they were
 // scheduled, so repeated runs with the same seed produce identical traces.
 //
-// Its whole discipline is schedule (At, After), dispatch (Run), stop (Stop)
-// and reset (Reset). Nothing is ever cancelled: a run ends by stopping the
+// Its whole discipline is schedule (At), dispatch (Run), stop (Stop) and
+// reset (Reset). Nothing is ever cancelled: a run ends by stopping the
 // engine, and the next run starts from Reset, which drops whatever was
 // still scheduled. Periodic sources (the panel's edges) are handlers that
 // schedule their own successor.
@@ -162,9 +162,6 @@ type Engine struct {
 	events  agenda
 	stopped bool
 	fired   uint64
-	// live counts scheduled events that have not fired: the heap plus the
-	// undispatched remainder of the current batch.
-	live int
 
 	// free recycles dispatched agenda items: a simulation schedules one
 	// event per pipeline hop per frame, and without the free list every
@@ -211,9 +208,6 @@ func (e *Engine) Err() error {
 // Now returns the engine's current virtual time.
 func (e *Engine) Now() simtime.Time { return e.now }
 
-// Pending returns the number of events still scheduled.
-func (e *Engine) Pending() int { return e.live }
-
 // Fired returns the total number of events dispatched so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
@@ -238,7 +232,6 @@ func (e *Engine) At(at simtime.Time, prio Priority, fn Handler) {
 		it = &item{at: at, prio: prio, seq: e.seq, fn: fn}
 	}
 	e.events.push(it)
-	e.live++
 }
 
 // recycle returns an item to the free list. The caller guarantees it has
@@ -248,14 +241,6 @@ func (e *Engine) At(at simtime.Time, prio Priority, fn Handler) {
 func (e *Engine) recycle(it *item) {
 	it.fn = nil
 	e.free = append(e.free, it)
-}
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d simtime.Duration, prio Priority, fn Handler) {
-	if d < 0 {
-		panic(fmt.Sprintf("event: negative delay %v", d))
-	}
-	e.At(e.now.Add(d), prio, fn)
 }
 
 // Stop makes the current Run call return once the in-flight event handler
@@ -284,7 +269,6 @@ func (e *Engine) runInstant(t simtime.Time) {
 			e.spill(i)
 			return
 		}
-		e.live--
 		if t == e.instantAt {
 			e.instantFired++
 		} else {
@@ -311,9 +295,8 @@ func (e *Engine) runInstant(t simtime.Time) {
 			e.stopped = true
 		}
 		if e.stopped {
-			// Stop (or the watchdog) must leave undispatched events pending:
-			// callers that inspect the agenda after stopping expect them
-			// back on it.
+			// Stop (or the watchdog) must leave undispatched events on the
+			// agenda: the next Run dispatches them, and Reset drops them.
 			e.spill(i + 1)
 			return
 		}
@@ -370,7 +353,6 @@ func (e *Engine) Reset() {
 		}
 	}
 	e.batch = e.batch[:0]
-	e.live = 0
 	e.now = 0
 	e.seq = 0
 	e.stopped = false
@@ -379,6 +361,3 @@ func (e *Engine) Reset() {
 	e.instantFired = 0
 	e.wderr = nil
 }
-
-// RunAll dispatches events until none remain or Stop is called.
-func (e *Engine) RunAll() { e.Run(simtime.Never) }

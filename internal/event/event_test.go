@@ -21,7 +21,7 @@ func TestFiresInTimeOrder(t *testing.T) {
 			got = append(got, now)
 		})
 	}
-	e.RunAll()
+	e.Run(simtime.Never)
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 		t.Errorf("events out of order: %v", got)
 	}
@@ -36,7 +36,7 @@ func TestSameInstantPriorityOrder(t *testing.T) {
 	e.At(10, PriorityControl, func(simtime.Time) { got = append(got, "control") })
 	e.At(10, PriorityHardware, func(simtime.Time) { got = append(got, "hw") })
 	e.At(10, PrioritySignal, func(simtime.Time) { got = append(got, "signal") })
-	e.RunAll()
+	e.Run(simtime.Never)
 	want := []string{"hw", "signal", "control"}
 	for i := range want {
 		if got[i] != want[i] {
@@ -52,7 +52,7 @@ func TestSameInstantFIFOWithinPriority(t *testing.T) {
 		i := i
 		e.At(5, PriorityPipeline, func(simtime.Time) { got = append(got, i) })
 	}
-	e.RunAll()
+	e.Run(simtime.Never)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("FIFO violated: %v", got)
@@ -60,15 +60,17 @@ func TestSameInstantFIFOWithinPriority(t *testing.T) {
 	}
 }
 
-func TestAfterUsesCurrentTime(t *testing.T) {
+// TestNowIsDispatchTime: inside a handler the clock reads the event's
+// instant, so work scheduled relative to Now lands relative to it.
+func TestNowIsDispatchTime(t *testing.T) {
 	e := NewEngine()
 	var second simtime.Time
 	e.At(100, PriorityControl, func(simtime.Time) {
-		e.After(50, PriorityControl, func(now simtime.Time) { second = now })
+		e.At(e.Now().Add(50), PriorityControl, func(now simtime.Time) { second = now })
 	})
-	e.RunAll()
+	e.Run(simtime.Never)
 	if second != 150 {
-		t.Errorf("After fired at %v, want 150", second)
+		t.Errorf("event scheduled at Now+50 fired at %v, want 150", second)
 	}
 }
 
@@ -85,7 +87,7 @@ func TestRunHorizon(t *testing.T) {
 	if e.Now() != 25 {
 		t.Errorf("engine time %v, want horizon 25", e.Now())
 	}
-	e.RunAll()
+	e.Run(simtime.Never)
 	if len(fired) != 4 {
 		t.Fatalf("fired %d events total, want 4", len(fired))
 	}
@@ -96,11 +98,11 @@ func TestStop(t *testing.T) {
 	count := 0
 	e.At(10, PriorityControl, func(simtime.Time) { count++; e.Stop() })
 	e.At(20, PriorityControl, func(simtime.Time) { count++ })
-	e.RunAll()
+	e.Run(simtime.Never)
 	if count != 1 {
 		t.Errorf("count = %d after Stop, want 1", count)
 	}
-	e.RunAll()
+	e.Run(simtime.Never)
 	if count != 2 {
 		t.Errorf("count = %d after resume, want 2", count)
 	}
@@ -116,19 +118,20 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}()
 		e.At(50, PriorityControl, func(simtime.Time) {})
 	})
-	e.RunAll()
+	e.Run(simtime.Never)
 }
 
-func TestPendingAndFiredCounters(t *testing.T) {
+func TestFiredCounter(t *testing.T) {
 	e := NewEngine()
 	e.At(1, PriorityControl, func(simtime.Time) {})
 	e.At(2, PriorityControl, func(simtime.Time) {})
-	if e.Pending() != 2 {
-		t.Errorf("Pending = %d", e.Pending())
-	}
-	e.RunAll()
-	if e.Pending() != 0 || e.Fired() != 2 {
-		t.Errorf("Pending=%d Fired=%d", e.Pending(), e.Fired())
+	for _, step := range []struct {
+		horizon simtime.Time
+		want    uint64
+	}{{0, 0}, {1, 1}, {simtime.Never, 2}} {
+		if e.Run(step.horizon); e.Fired() != step.want {
+			t.Errorf("Fired = %d after Run(%v), want %d", e.Fired(), step.horizon, step.want)
+		}
 	}
 }
 
@@ -155,7 +158,7 @@ func TestDispatchOrderProperty(t *testing.T) {
 			}
 			return want[i].prio < want[j].prio
 		})
-		e.RunAll()
+		e.Run(simtime.Never)
 		if len(got) != len(want) {
 			return false
 		}
@@ -175,9 +178,9 @@ func TestWatchdogTripsOnStalledAgenda(t *testing.T) {
 	e := NewEngine()
 	e.SetInstantLimit(100)
 	var loop Handler
-	loop = func(now simtime.Time) { e.After(0, PriorityControl, loop) }
+	loop = func(now simtime.Time) { e.At(now, PriorityControl, loop) }
 	e.At(5, PriorityControl, loop)
-	e.RunAll()
+	e.Run(simtime.Never)
 	err := e.Err()
 	if err == nil {
 		t.Fatal("stalled agenda did not trip the watchdog")
@@ -215,9 +218,9 @@ func TestWatchdogDeterministicAcrossRuns(t *testing.T) {
 		e := NewEngine()
 		e.SetInstantLimit(64)
 		var loop Handler
-		loop = func(now simtime.Time) { e.After(0, PrioritySignal, loop) }
+		loop = func(now simtime.Time) { e.At(now, PrioritySignal, loop) }
 		e.At(3, PrioritySignal, loop)
-		e.RunAll()
+		e.Run(simtime.Never)
 		return e.Err().Error()
 	}
 	first := run()
@@ -236,11 +239,11 @@ func TestWatchdogIgnoresAdvancingClock(t *testing.T) {
 	chain = func(now simtime.Time) {
 		n++
 		if n < 1000 {
-			e.After(1, PriorityControl, chain)
+			e.At(now.Add(1), PriorityControl, chain)
 		}
 	}
 	e.At(0, PriorityControl, chain)
-	e.RunAll()
+	e.Run(simtime.Never)
 	if err := e.Err(); err != nil {
 		t.Fatalf("advancing chain tripped the watchdog: %v", err)
 	}
@@ -257,7 +260,7 @@ func TestWatchdogAllowsBurstsBelowLimit(t *testing.T) {
 		e.At(7, PriorityControl, func(simtime.Time) { fired++ })
 	}
 	e.At(8, PriorityControl, func(simtime.Time) { fired++ })
-	e.RunAll()
+	e.Run(simtime.Never)
 	if err := e.Err(); err != nil {
 		t.Fatalf("burst below the limit tripped the watchdog: %v", err)
 	}
@@ -270,14 +273,14 @@ func TestWatchdogPoisonsSubsequentRuns(t *testing.T) {
 	e := NewEngine()
 	e.SetInstantLimit(10)
 	var loop Handler
-	loop = func(now simtime.Time) { e.After(0, PriorityControl, loop) }
+	loop = func(now simtime.Time) { e.At(now, PriorityControl, loop) }
 	e.At(1, PriorityControl, loop)
-	e.RunAll()
+	e.Run(simtime.Never)
 	if e.Err() == nil {
 		t.Fatal("watchdog did not trip")
 	}
 	before := e.Fired()
-	e.RunAll() // must refuse to resume the poisoned agenda
+	e.Run(simtime.Never) // must refuse to resume the poisoned agenda
 	if e.Fired() != before {
 		t.Fatal("engine resumed dispatching after watchdog trip")
 	}

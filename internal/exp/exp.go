@@ -30,8 +30,8 @@ import (
 const Seed int64 = 20250330
 
 // VSyncConfig is the conventional-architecture configuration for a device
-// and queue size, without a trace — the shape replica loops hand to a
-// reusable sim.Runner before swapping traces in.
+// and queue size, without a trace: VSyncRun and avgFDPS each supply the
+// trace.
 func VSyncConfig(dev scenarios.Device, buffers int) sim.Config {
 	return sim.Config{
 		Mode:    sim.ModeVSync,

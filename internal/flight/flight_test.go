@@ -1,12 +1,9 @@
 package flight
 
 import (
-	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 
-	"dvsync/internal/checkpoint"
 	"dvsync/internal/simtime"
 	"dvsync/internal/trace"
 )
@@ -174,86 +171,4 @@ func TestDumpIDShape(t *testing.T) {
 	if short := DumpID("ab", 0, TriggerWatchdog); short != "ab-00-watchdog" {
 		t.Errorf("short-digest DumpID = %q", short)
 	}
-}
-
-// TestDumpEncodeDecodeRoundTrip: a sealed dump survives the envelope and
-// pins its producing config digest.
-func TestDumpEncodeDecodeRoundTrip(t *testing.T) {
-	d := &Dump{
-		SchemaVersion: trace.SchemaVersion,
-		Trigger: Trigger{Kind: TriggerFallback,
-			At: simtime.Time(simtime.Second), Detail: "to=VSync reason=fdps"},
-		Events: []trace.Event{ev(990, trace.Jank, 3, ""), ev(1000, trace.Fallback, -1, "to=VSync reason=fdps")},
-	}
-	const digest = "deadbeefdeadbeefdeadbeefdeadbeef"
-	var buf bytes.Buffer
-	if err := EncodeDump(&buf, digest, d); err != nil {
-		t.Fatal(err)
-	}
-	sealed := buf.Bytes()
-
-	got, gotDigest, err := DecodeDump(bytes.NewReader(sealed), digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotDigest != digest || !reflect.DeepEqual(got, d) {
-		t.Errorf("round trip: digest %q dump %+v", gotDigest, got)
-	}
-	// "" accepts any digest (the dvtrace -why path) but still reports it.
-	if _, gotDigest, err = DecodeDump(bytes.NewReader(sealed), ""); err != nil || gotDigest != digest {
-		t.Errorf("unpinned decode: digest %q err %v", gotDigest, err)
-	}
-	// A mismatched pin is a typed digest error.
-	var dgErr *checkpoint.DigestError
-	if _, _, err := DecodeDump(bytes.NewReader(sealed), "0000"); !errors.As(err, &dgErr) {
-		t.Errorf("wrong digest: err %v, want *checkpoint.DigestError", err)
-	}
-	// An envelope with a foreign meta stamp is ErrNotDump.
-	var plain bytes.Buffer
-	if err := checkpoint.Encode(&plain, digest, 0, []byte(`{"kind":"other"}`), []byte(`{}`)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := DecodeDump(bytes.NewReader(plain.Bytes()), ""); !errors.Is(err, ErrNotDump) {
-		t.Errorf("foreign envelope: err %v, want ErrNotDump", err)
-	}
-	// Flipping a payload byte trips the envelope's content digest.
-	bad := append([]byte(nil), sealed...)
-	bad[len(bad)-2] ^= 0x40
-	if _, _, err := DecodeDump(bytes.NewReader(bad), digest); err == nil {
-		t.Error("corrupted envelope decoded cleanly")
-	}
-}
-
-// FuzzDecodeDump: arbitrary bytes must never panic the decoder, and a
-// valid sealed dump must keep round-tripping under mutation of the seed
-// corpus.
-func FuzzDecodeDump(f *testing.F) {
-	d := &Dump{
-		SchemaVersion: trace.SchemaVersion,
-		Trigger:       Trigger{Kind: TriggerJankBurst, At: simtime.Time(simtime.Millisecond)},
-		Events:        []trace.Event{ev(0, trace.Jank, 0, ""), ev(1, trace.Jank, 1, "")},
-	}
-	var buf bytes.Buffer
-	if err := EncodeDump(&buf, "cafef00dcafef00d", d); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte("not an envelope"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, _, err := DecodeDump(bytes.NewReader(data), "")
-		if err != nil {
-			return
-		}
-		// Whatever decodes must satisfy the dump invariants the decoder
-		// promises: schema in range, events in order.
-		if got.SchemaVersion < 1 || got.SchemaVersion > trace.SchemaVersion {
-			t.Fatalf("decoded schema v%d out of range", got.SchemaVersion)
-		}
-		for i := 1; i < len(got.Events); i++ {
-			if got.Events[i].At < got.Events[i-1].At {
-				t.Fatalf("decoded events out of order at %d", i)
-			}
-		}
-	})
 }

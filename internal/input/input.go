@@ -53,16 +53,6 @@ func (d Digitizer) Samples(traj Trajectory) []Sample {
 	return out
 }
 
-// History returns the reports at or before t — what software has seen so
-// far.
-func History(samples []Sample, t simtime.Time) []Sample {
-	hi := len(samples)
-	for hi > 0 && samples[hi-1].At.After(t) {
-		hi--
-	}
-	return samples[:hi]
-}
-
 // Perturber decides per-sample delivery faults. internal/fault's Injector
 // satisfies it; the indirection keeps this package dependency-free.
 type Perturber interface {

@@ -95,19 +95,6 @@ func TestDigitizerSampling(t *testing.T) {
 	}
 }
 
-func TestHistory(t *testing.T) {
-	samples := []Sample{{At: 0}, {At: 10}, {At: 20}, {At: 30}}
-	if got := History(samples, 15); len(got) != 2 {
-		t.Errorf("History(15) = %d samples", len(got))
-	}
-	if got := History(samples, 30); len(got) != 4 {
-		t.Errorf("History(30) = %d samples", len(got))
-	}
-	if got := History(samples, -1); len(got) != 0 {
-		t.Errorf("History(-1) = %d samples", len(got))
-	}
-}
-
 func TestDigitizerInvalidRate(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -131,59 +130,6 @@ func Percentile(sorted []float64, p float64) float64 {
 		return sorted[n-1]
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// CDF evaluates the empirical CDF of a sample at the given thresholds.
-func CDF(xs []float64, thresholds []float64) []float64 {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]float64, len(thresholds))
-	for i, th := range thresholds {
-		idx := sort.Search(len(sorted), func(j int) bool { return sorted[j] > th })
-		out[i] = float64(idx) / float64(len(sorted))
-	}
-	return out
-}
-
-// Histogram bins a sample into equal-width buckets over [lo, hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int
-	Over   int
-}
-
-// NewHistogram creates a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if hi <= lo || bins <= 0 {
-		panic(fmt.Sprintf("metrics: invalid histogram [%v,%v)/%d", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add bins one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i >= len(h.Counts) {
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations added.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }
 
 // JankReport summarises frame drops over a display window.
@@ -334,12 +280,4 @@ func PercentIncrease(a, b float64) float64 {
 		return 0
 	}
 	return 100 * (b - a) / a
-}
-
-// PercentReduction returns 100·(a−b)/a.
-func PercentReduction(a, b float64) float64 {
-	if a == 0 {
-		return 0
-	}
-	return 100 * (a - b) / a
 }

@@ -136,33 +136,6 @@ func TestSummarizeEmptyContract(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	got := CDF(xs, []float64{0, 1, 2.5, 4, 10})
-	want := []float64{0, 0.25, 0.5, 1, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CDF = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 50} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Errorf("counts %v", h.Counts)
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d", h.Total())
-	}
-}
-
 func TestJankReport(t *testing.T) {
 	r := JankReport{Janks: 12, Edges: 120, WindowSeconds: 2}
 	if r.FDPS() != 6 {
@@ -233,10 +206,7 @@ func TestPercentHelpers(t *testing.T) {
 	if PercentIncrease(100, 110) != 10 {
 		t.Error("PercentIncrease")
 	}
-	if PercentReduction(100, 25) != 75 {
-		t.Error("PercentReduction")
-	}
-	if PercentIncrease(0, 5) != 0 || PercentReduction(0, 5) != 0 {
+	if PercentIncrease(0, 5) != 0 {
 		t.Error("zero base should yield 0")
 	}
 }

@@ -8,7 +8,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -281,49 +280,4 @@ func WriteCauseTable(w io.Writer, chains []CauseChain) {
 		fmt.Fprintf(w, "%12.3fms  %-11s%s: %s\n",
 			c.At.Milliseconds(), c.Instant, loc, c.chainString())
 	}
-}
-
-// ExportPerfettoAnnotated writes the Perfetto export with each explained
-// instant's cause chain attached to its marker args ("cause" = root kind,
-// "chain" = full proximate→root rendering). The plain ExportPerfetto
-// output stays byte-stable; annotation is a separate surface.
-func ExportPerfettoAnnotated(src EventSource, w io.Writer) error {
-	events := src.Events()
-	m := BuildEvents(events)
-	chains := Attribute(events)
-	doc := m.perfettoDoc()
-
-	// Chains and instant records are both in time order per name, so a
-	// per-name cursor matches each chain to its marker record.
-	byName := map[string][]*CauseChain{}
-	for i := range chains {
-		byName[chains[i].Instant] = append(byName[chains[i].Instant], &chains[i])
-	}
-	for i := range doc.TraceEvents {
-		ev := &doc.TraceEvents[i]
-		if ev.Ph != "i" {
-			continue
-		}
-		queue := byName[ev.Name]
-		if len(queue) == 0 || usOf(queue[0].At) != ev.Ts {
-			continue
-		}
-		c := queue[0]
-		byName[ev.Name] = queue[1:]
-		if ev.Args == nil {
-			ev.Args = map[string]any{}
-		}
-		ev.Args["cause"] = string(c.Root().Kind)
-		ev.Args["chain"] = c.chainString()
-	}
-
-	data, err := json.MarshalIndent(doc, "", " ")
-	if err != nil {
-		return fmt.Errorf("obs: encode annotated perfetto: %w", err)
-	}
-	data = append(data, '\n')
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("obs: write annotated perfetto: %w", err)
-	}
-	return nil
 }

@@ -15,9 +15,10 @@
 //     and recorder (workload traces and profiles are read-only and may be
 //     shared);
 //   - randomness inside a job comes only from a seed the job owns — a
-//     deterministic function of the job index such as seed+i or SplitSeed,
-//     mirroring the fault injector's split-RNG discipline — never from a
-//     shared stream whose draw order would depend on scheduling;
+//     deterministic function of the job index such as seed+i, or a child
+//     seed minted with dist.SplitSeed, mirroring the fault injector's
+//     split-RNG discipline — never from a shared stream whose draw order
+//     would depend on scheduling;
 //   - callers aggregate the result slice serially in index order after Map
 //     returns (floating-point addition is not associative, so a reduction
 //     inside the workers would make the sum depend on completion order).
@@ -239,29 +240,4 @@ spawn:
 		panic(*first)
 	}
 	return out
-}
-
-// SplitSeed derives the seed for one job from a parent seed and a stream
-// label — the same FNV-1a splitting discipline dist.RNG.Split gives the
-// fault injector, extended with the job index. Jobs that draw randomness
-// must own a stream derived deterministically from their index; SplitSeed
-// is the canonical way to mint one when plain seed+i arithmetic would
-// collide across streams.
-func SplitSeed(parent int64, label string, job int) int64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(label); i++ {
-		h ^= uint64(label[i])
-		h *= prime64
-	}
-	u := uint64(job)
-	for i := 0; i < 8; i++ {
-		h ^= u & 0xff
-		u >>= 8
-		h *= prime64
-	}
-	return int64(h&(1<<63-1)) ^ parent
 }

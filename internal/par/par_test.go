@@ -18,7 +18,7 @@ func withWorkers(t *testing.T, n int) {
 // job is a small deterministic computation whose value depends only on the
 // job index and seed — the contract every par.Map job must satisfy.
 func job(seed int64, i int) int64 {
-	s := par.SplitSeed(seed, "par.test", i)
+	s := seed + int64(i)
 	for k := 0; k < 1000; k++ {
 		s = s*6364136223846793005 + 1442695040888963407
 	}
@@ -160,23 +160,6 @@ func TestSetWorkersDefault(t *testing.T) {
 		t.Fatalf("Workers() = %d, want 3", got)
 	}
 	par.SetWorkers(0)
-}
-
-func TestSplitSeedStreams(t *testing.T) {
-	seen := map[int64]bool{}
-	for job := 0; job < 100; job++ {
-		s := par.SplitSeed(20250330, "stream", job)
-		if seen[s] {
-			t.Fatalf("SplitSeed collision at job %d", job)
-		}
-		seen[s] = true
-	}
-	if par.SplitSeed(1, "a", 0) == par.SplitSeed(1, "b", 0) {
-		t.Fatal("SplitSeed ignores the label")
-	}
-	if par.SplitSeed(1, "a", 0) != par.SplitSeed(1, "a", 0) {
-		t.Fatal("SplitSeed is not deterministic")
-	}
 }
 
 // TestMapRaceStress exists so `go test -race ./internal/par` exercises the

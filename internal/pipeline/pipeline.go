@@ -274,7 +274,7 @@ func (p *Producer) TryStart(now simtime.Time, req StartRequest) *buffer.Frame {
 
 	f.UIDone = now.Add(cost.UI)
 	p.uiBusyUntil = f.UIDone
-	f.RSStart = simtime.Max(f.UIDone, p.rsBusyUntil)
+	f.RSStart = max(f.UIDone, p.rsBusyUntil)
 	f.RSDone = f.RSStart.Add(cost.RS)
 	p.rsBusyUntil = f.RSDone
 

@@ -39,7 +39,7 @@ func TestStageTiming(t *testing.T) {
 	if f.RSDone != simtime.Time(simtime.FromMillis(7)) {
 		t.Errorf("RSDone = %v", f.RSDone)
 	}
-	e.RunAll()
+	e.Run(simtime.Never)
 	if f.QueuedAt != f.RSDone {
 		t.Errorf("QueuedAt = %v, want %v", f.QueuedAt, f.RSDone)
 	}
@@ -66,7 +66,7 @@ func TestCallbacks(t *testing.T) {
 	p.OnUIDone = func(_ simtime.Time, f *buffer.Frame) { uiDone = append(uiDone, f.Seq) }
 	p.OnQueued = func(_ simtime.Time, f *buffer.Frame) { queued = append(queued, f.Seq) }
 	p.Start(0, StartRequest{Index: 0})
-	e.RunAll()
+	e.Run(simtime.Never)
 	if len(uiDone) != 1 || uiDone[0] != 0 {
 		t.Errorf("uiDone = %v", uiDone)
 	}
@@ -87,7 +87,7 @@ func TestAheadAccounting(t *testing.T) {
 	if p.Ahead() != 1 {
 		t.Errorf("ahead = %d after start", p.Ahead())
 	}
-	e.RunAll() // frame queues
+	e.Run(simtime.Never) // frame queues
 	if p.Ahead() != 1 {
 		t.Errorf("ahead = %d after queue (still undisplayed)", p.Ahead())
 	}
@@ -101,9 +101,9 @@ func TestWorkAccounting(t *testing.T) {
 	e, _, p := setup(3, 2, 3, 4)
 	p.PerFrameOverhead = simtime.FromMicros(100)
 	p.Start(0, StartRequest{Index: 0})
-	e.RunAll()
+	e.Run(simtime.Never)
 	p.Start(e.Now(), StartRequest{Index: 1})
-	e.RunAll()
+	e.Run(simtime.Never)
 	if got := p.ExecutedWork(); got != simtime.FromMillis(10) {
 		t.Errorf("executed = %v", got)
 	}

@@ -134,34 +134,3 @@ func writeCSVRow(w io.Writer, cells []string) {
 	}
 	fmt.Fprintln(w, strings.Join(parts, ","))
 }
-
-// Bars renders a labelled horizontal ASCII bar chart; maxWidth is the bar
-// length of the largest value.
-func Bars(w io.Writer, title string, labels []string, values []float64, maxWidth int) {
-	if len(labels) != len(values) {
-		panic("report: labels/values mismatch")
-	}
-	if maxWidth <= 0 {
-		maxWidth = 50
-	}
-	max := 0.0
-	lw := 0
-	for i, v := range values {
-		if v > max {
-			max = v
-		}
-		if len(labels[i]) > lw {
-			lw = len(labels[i])
-		}
-	}
-	if title != "" {
-		fmt.Fprintf(w, "== %s ==\n", title)
-	}
-	for i, v := range values {
-		n := 0
-		if max > 0 {
-			n = int(v / max * float64(maxWidth))
-		}
-		fmt.Fprintf(w, "%s  %s %s\n", pad(labels[i], lw), pad(strings.Repeat("#", n), maxWidth), FormatFloat(v))
-	}
-}

@@ -86,27 +86,3 @@ func TestFormatFloat(t *testing.T) {
 		}
 	}
 }
-
-func TestBars(t *testing.T) {
-	var b strings.Builder
-	Bars(&b, "chart", []string{"a", "bb"}, []float64{2, 4}, 10)
-	out := b.String()
-	if !strings.Contains(out, "== chart ==") {
-		t.Error("missing title")
-	}
-	if !strings.Contains(out, "##########") {
-		t.Error("largest bar should reach max width")
-	}
-	if !strings.Contains(out, "#####") {
-		t.Error("half bar missing")
-	}
-}
-
-func TestBarsMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Bars(&strings.Builder{}, "", []string{"a"}, nil, 10)
-}

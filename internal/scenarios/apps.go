@@ -51,17 +51,6 @@ func Apps() []App {
 	}
 }
 
-// AppsAverageFDPS returns the mean baseline across Figure 11 (the paper
-// reports 2.04).
-func AppsAverageFDPS() float64 {
-	sum := 0.0
-	apps := Apps()
-	for _, a := range apps {
-		sum += a.PaperVSyncFDPS
-	}
-	return sum / float64(len(apps))
-}
-
 // Profile returns the app's uncalibrated workload shape. App scrolling is
 // an interactive-then-fling pattern the OS UI framework drives, so frames
 // are Deterministic for the oblivious channel (§4.2 classes list flings and

@@ -14,8 +14,6 @@
 package scenarios
 
 import (
-	"fmt"
-
 	"dvsync/internal/display"
 	"dvsync/internal/simtime"
 )
@@ -88,14 +86,3 @@ var (
 
 // Devices lists Table 1 in paper order.
 func Devices() []Device { return []Device{Pixel5, Mate40Pro, Mate60Pro} }
-
-// DeviceByName looks a device up; it panics on unknown names because the
-// catalog is static.
-func DeviceByName(name string) Device {
-	for _, d := range Devices() {
-		if d.Name == name {
-			return d
-		}
-	}
-	panic(fmt.Sprintf("scenarios: unknown device %q", name))
-}

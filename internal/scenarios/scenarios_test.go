@@ -18,15 +18,9 @@ func TestDevicesTable(t *testing.T) {
 	if Pixel5.Buffers != 3 || Mate60Pro.Buffers != 4 {
 		t.Error("default buffer counts wrong (Android 3, OpenHarmony 4)")
 	}
-	if DeviceByName("Mate 60 Pro").Width != 1260 {
-		t.Error("lookup wrong")
+	if d := Devices()[2]; d.Name != "Mate 60 Pro" || d.Width != 1260 {
+		t.Errorf("Table 1's third device = %s, %d px wide, want Mate 60 Pro, 1260", d.Name, d.Width)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown device should panic")
-		}
-	}()
-	DeviceByName("Nokia 3310")
 }
 
 func TestSeventyFiveUseCases(t *testing.T) {
@@ -101,8 +95,12 @@ func TestAppsCatalog(t *testing.T) {
 	if len(apps) != 25 {
 		t.Fatalf("apps = %d, want 25", len(apps))
 	}
-	if math.Abs(AppsAverageFDPS()-2.04) > 0.01 {
-		t.Errorf("apps average %v, paper reports 2.04", AppsAverageFDPS())
+	sum := 0.0
+	for _, a := range apps {
+		sum += a.PaperVSyncFDPS
+	}
+	if avg := sum / float64(len(apps)); math.Abs(avg-2.04) > 0.01 {
+		t.Errorf("apps average %v, paper reports 2.04", avg)
 	}
 	if apps[0].Name != "Walmart" || apps[0].Tail != Scattered {
 		t.Error("Walmart should lead with scattered drops (§6.1 analysis)")

@@ -37,18 +37,18 @@ func perRun(runs int, f func()) (allocs, bytes uint64) {
 // TestSimRunAllocs pins BenchmarkSimRun's allocs/op and B/op exactly: what
 // wiring a fresh System and running benchTrace costs in each mode. The
 // counts are deterministic, so any change moves them; re-pin a deliberate
-// one here. The bytes last moved (VSync 61 448, D-VSync 62 024 B before)
-// when the engine dropped cancellation and the distributor its unused
-// signals: agenda items shrank from 40 to 32 bytes and the distributor
-// from 176 to 48; the allocation counts held.
+// one here. The pins last moved (VSync 59 allocs / 61 224 B, D-VSync
+// 68 / 61 784 B before) when the signal distributor took its one handler
+// at construction: its listener slice (one 8-byte allocation) went, and
+// the distributor shrank from 48 to 32 bytes.
 func TestSimRunAllocs(t *testing.T) {
 	tr := benchTrace()
 	for _, c := range []struct {
 		mode              Mode
 		wantAllocs, wantB uint64
 	}{
-		{ModeVSync, 59, 61224},
-		{ModeDVSync, 68, 61784},
+		{ModeVSync, 58, 61200},
+		{ModeDVSync, 67, 61760},
 	} {
 		allocs, bytes := perRun(50, func() { Run(benchConfig(c.mode, tr)) })
 		if allocs != c.wantAllocs || bytes != c.wantB {

@@ -416,7 +416,7 @@ func New(cfg Config) *System {
 		panelCfg.EdgeMiss = s.inj.EdgeMiss
 	}
 	s.panel = display.NewPanel(s.engine, panelCfg)
-	s.dist = signal.NewDistributor(s.engine, cfg.AppOffset)
+	s.dist = signal.NewDistributor(s.engine, cfg.AppOffset, s.onAppTick)
 	s.queue = buffer.NewQueue(buffer.Config{
 		Buffers: cfg.Buffers,
 		Width:   cfg.Panel.Width,
@@ -460,7 +460,6 @@ func New(cfg Config) *System {
 
 	s.panel.OnEdge(s.onEdge)
 	s.panel.OnEdge(s.dist.OnHWEdge)
-	s.dist.Subscribe(s.onAppTick)
 
 	s.producer.OnUIDone = func(now simtime.Time, f *buffer.Frame) {
 		s.lastAt = now
@@ -855,7 +854,7 @@ func (s *System) startFrame(now simtime.Time, req pipeline.StartRequest) bool {
 // path, also used by D-VSync for non-decoupled frames.
 //
 //dvlint:hotpath runs at every VSync-app tick
-func (s *System) onAppTick(ev signal.Event) {
+func (s *System) onAppTick(at simtime.Time) {
 	n := s.cfg.Trace.Len()
 	if !s.started {
 		s.started = true
@@ -865,32 +864,32 @@ func (s *System) onAppTick(ev signal.Event) {
 	}
 	if s.fpe != nil {
 		if s.cfg.RuntimeSwitch != nil {
-			s.appSwitch = s.cfg.RuntimeSwitch(ev.At)
+			s.appSwitch = s.cfg.RuntimeSwitch(at)
 			s.applyEnabled()
 		}
 		// D-VSync: decoupled frames are pumped; if the next frame is
 		// routed to the VSync path, trigger it on this tick.
-		s.fpe.Pump(ev.At)
+		s.fpe.Pump(at)
 		if s.fallbackActive {
 			// Supervised fallback (§4.5): the app is back on classic VSync
 			// triggering, where the animation is time-based — under
 			// sustained overload missed slots are skipped exactly like the
 			// VSync baseline, instead of falling ever further behind.
-			s.vsyncTick(ev.At, n)
+			s.vsyncTick(at, n)
 			return
 		}
 		if s.nextIdx < n && !s.ctl.Decoupled(s.cfg.Trace.Costs[s.nextIdx].Class) &&
-			s.producer.UIFree(ev.At) && s.queue.CanDequeue() &&
+			s.producer.UIFree(at) && s.queue.CanDequeue() &&
 			s.producer.Ahead() < s.cfg.VSyncPipelineDepth {
-			s.startFrame(ev.At, pipeline.StartRequest{
+			s.startFrame(at, pipeline.StartRequest{
 				Index:       s.nextIdx,
-				ContentTime: ev.At,
+				ContentTime: at,
 				RateHz:      s.frameRate(),
 			})
 		}
 		return
 	}
-	s.vsyncTick(ev.At, n)
+	s.vsyncTick(at, n)
 }
 
 // vsyncTick is the VSync-baseline production step: the animation is

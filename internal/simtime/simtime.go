@@ -107,52 +107,6 @@ func AlignUp(t Time, period Duration, phase Time) Time {
 	return phase + Time(k*p)
 }
 
-// AlignDown returns the latest instant ≤ t on the grid phase + k·period.
-// t must not precede phase.
-func AlignDown(t Time, period Duration, phase Time) Time {
-	if period <= 0 {
-		panic("simtime: non-positive period")
-	}
-	if t < phase {
-		panic("simtime: AlignDown before phase")
-	}
-	off := int64(t - phase)
-	p := int64(period)
-	return phase + Time((off/p)*p)
-}
-
-// Min returns the earlier of a and b.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the later of a and b.
-func Max(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MaxDuration returns the longer of a and b.
-func MaxDuration(a, b Duration) Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinDuration returns the shorter of a and b.
-func MinDuration(a, b Duration) Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Clamp limits d to the inclusive range [lo, hi].
 func Clamp(d, lo, hi Duration) Duration {
 	if d < lo {

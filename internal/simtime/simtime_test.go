@@ -75,25 +75,6 @@ func TestAlignUp(t *testing.T) {
 	}
 }
 
-func TestAlignDown(t *testing.T) {
-	p := Duration(100)
-	cases := []struct {
-		t, phase, want Time
-	}{
-		{0, 0, 0},
-		{99, 0, 0},
-		{100, 0, 100},
-		{199, 0, 100},
-		{110, 10, 110},
-		{109, 10, 10},
-	}
-	for _, c := range cases {
-		if got := AlignDown(c.t, p, c.phase); got != c.want {
-			t.Errorf("AlignDown(%d, %d, %d) = %d, want %d", c.t, p, c.phase, got, c.want)
-		}
-	}
-}
-
 func TestAlignUpProperties(t *testing.T) {
 	f := func(rawT int32, rawPhase int16, rawPeriod uint16) bool {
 		period := Duration(rawPeriod%5000) + 1
@@ -114,13 +95,8 @@ func TestAlignUpProperties(t *testing.T) {
 	}
 }
 
+// TestMinMaxClamp: Clamp holds a duration between its min and max bounds.
 func TestMinMaxClamp(t *testing.T) {
-	if Min(1, 2) != 1 || Max(1, 2) != 2 {
-		t.Error("Min/Max broken")
-	}
-	if MaxDuration(3, 4) != 4 || MinDuration(3, 4) != 3 {
-		t.Error("Min/MaxDuration broken")
-	}
 	if Clamp(5, 1, 3) != 3 || Clamp(-5, 1, 3) != 1 || Clamp(2, 1, 3) != 2 {
 		t.Error("Clamp broken")
 	}

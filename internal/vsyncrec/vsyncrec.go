@@ -210,14 +210,14 @@ func (m *Model) Run(tr *workload.Trace) *Result {
 			// The FPE's pumps: the next index starts at the first pump
 			// instant that finds every condition met.
 			for next < n && ahead < m.limit && ahead+front < m.buffers {
-				at := simtime.Max(simtime.Max(uiBusy, latched), open)
+				at := max(uiBusy, latched, open)
 				if at >= edge || at > horizon {
 					break
 				}
 				c := costs[next]
 				next++
 				uiBusy = at.Add(c.UI)
-				rsBusy = simtime.Max(uiBusy, rsBusy).Add(c.RS)
+				rsBusy = max(uiBusy, rsBusy).Add(c.RS)
 				tail := head + ahead
 				if tail >= size {
 					tail -= size
@@ -238,7 +238,7 @@ func (m *Model) Run(tr *workload.Trace) *Result {
 					res.Skipped += target - next
 					next = target + 1
 					uiBusy = at.Add(c.UI)
-					rsBusy = simtime.Max(uiBusy, rsBusy).Add(c.RS)
+					rsBusy = max(uiBusy, rsBusy).Add(c.RS)
 					tail := head + ahead
 					if tail >= size {
 						tail -= size
